@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,14 +142,22 @@ class TaskScheduler:
             finish=start_time,
             executors_used=len(executors),
         )
-        # (free_at, slot_seq, executor) heap — one entry per core.
+        # One (free_at, seq, core, executor, speed, io_penalty) heap entry
+        # per core.  seq restarts with each task set, so zero-duration
+        # tasks under zero dispatch overhead can tie on (free_at, seq);
+        # core is unique among live entries and settles such ties before
+        # they reach the executor, which has no order.  Speed and I/O
+        # penalty are fixed for a job (slowdown and node state change
+        # only between batches), so they are read once here, not once
+        # per task attempt.
         slots: List[tuple] = []
-        seq = 0
         clock = start_time + self.overhead.batch_setup
         for ex in executors:
+            speed = ex.speed_factor
+            io_penalty = ex.io_penalty
             for _ in range(ex.cores):
-                slots.append((clock, seq, ex))
-                seq += 1
+                core = len(slots)
+                slots.append((clock, core, core, ex, speed, io_penalty))
         heapq.heapify(slots)
         coord = self.overhead.coordination_cost(len(executors))
         if traced:
@@ -166,8 +174,8 @@ class TaskScheduler:
             # computed once here rather than once per iteration — iterated
             # ML stages re-run the same task set dozens of times.
             order = sorted(
-                stage.tasks,
-                key=lambda t: t.compute_cost + t.io_cost,
+                [(t, t.compute_cost, t.io_cost) for t in stage.tasks],
+                key=lambda e: e[1] + e[2],
                 reverse=True,
             )
             for iteration in range(stage.iterations):
@@ -208,7 +216,7 @@ class TaskScheduler:
 
     def _run_task_set(
         self,
-        order: Sequence[TaskSpec],
+        order: Sequence[Tuple[TaskSpec, float, float]],
         slots: List[tuple],
         barrier: float,
         rng: np.random.Generator,
@@ -218,74 +226,65 @@ class TaskScheduler:
     ) -> float:
         """Schedule one iteration of a stage's (LPT-ordered) tasks.
 
-        ``order`` must already be in longest-processing-time-first order
-        (the caller sorts once per stage); returns the new barrier.
+        ``order`` holds ``(spec, compute_cost, io_cost)`` entries already
+        in longest-processing-time-first order (the caller sorts once per
+        stage); returns the new barrier.  The inlined duration performs
+        exactly the float operations of :meth:`TaskSpec.duration_on`, so
+        makespans are bit-identical to it.
         """
         if not order:
             return barrier
-        task_spans = (
-            tracer is not None and tracer.task_detail and exec_span is not None
-        )
-        noise = self.noise.draw(rng, len(order))
+        noise = self.noise.draw(rng, len(order)).tolist()
         finish_max = barrier
         seq = len(slots)
         heappop = heapq.heappop
         heappush = heapq.heappush
         task_dispatch = self.overhead.task_dispatch
-        max_attempts = self.faults.max_attempts
-        faults_active = self.faults.enabled and max_attempts > 1
+        executor_startup = self.overhead.executor_startup
+        faults = self.faults
+        max_attempts = faults.max_attempts
+        faults_active = faults.enabled and max_attempts > 1
         record_tasks = self.record_tasks
-        # Executor speed/penalty are invariant for the duration of one
-        # task set (slowdown and node state only change between batches),
-        # so resolve the property chains once per executor instead of
-        # once per attempt.  The inlined duration below performs exactly
-        # the same float operations as TaskSpec.duration_on, keeping
-        # makespans bit-identical.
-        ex_costs: dict = {}
-        for i, spec in enumerate(order):
-            noise_i = float(noise[i])
-            compute_cost = spec.compute_cost
-            io_cost = spec.io_cost
-            attempts = 0
+        task_spans = (
+            tracer is not None and tracer.task_detail and exec_span is not None
+        )
+        for (spec, compute_cost, io_cost), noise_i in zip(order, noise):
+            attempts = 1
             while True:
-                attempts += 1
-                free_at, _, ex = heappop(slots)
-                start = max(free_at, barrier) + task_dispatch
-                startup = 0.0
-                charged = False
-                if not ex.initialized:
-                    startup = self.overhead.executor_startup
+                free_at, _, core, ex, speed, io_penalty = heappop(slots)
+                start = (barrier if barrier > free_at else free_at) + task_dispatch
+                duration = (compute_cost / speed + io_cost * io_penalty) * noise_i
+                charged = not ex.initialized
+                if charged:
+                    duration += executor_startup
                     ex.mark_initialized()
-                    charged = True
-                costs = ex_costs.get(ex.executor_id)
-                if costs is None:
-                    costs = (ex.speed_factor, ex.io_penalty)
-                    ex_costs[ex.executor_id] = costs
-                duration = (
-                    compute_cost / costs[0] + io_cost * costs[1]
-                ) * noise_i + startup
-                may_fail = faults_active and attempts < max_attempts
-                if may_fail and self.faults.attempt_fails(rng):
-                    # Transient failure: the core is busy for part of the
-                    # attempt, then the task re-queues on the earliest slot.
-                    waste = duration * self.faults.waste_fraction(rng)
-                    heappush(slots, (start + waste, seq, ex))
-                    seq += 1
-                    run.task_failures += 1
-                    if exec_span is not None:
-                        exec_span.add_event(
-                            "task.retry", start + waste,
-                            executor=ex.executor_id, attempt=attempts,
+                if faults_active:
+                    if attempts < max_attempts and faults.attempt_fails(rng):
+                        # Transient failure: the core is busy for part of
+                        # the attempt, then the task re-queues on the
+                        # earliest slot.
+                        waste = duration * faults.waste_fraction(rng)
+                        heappush(
+                            slots,
+                            (start + waste, seq, core, ex, speed, io_penalty),
                         )
-                    continue
-                if attempts == max_attempts and attempts > 1:
-                    # The final allowed attempt always succeeds here; a
-                    # real system would abort the job at this point.
-                    run.exhausted_retries += 1
+                        seq += 1
+                        run.task_failures += 1
+                        if exec_span is not None:
+                            exec_span.add_event(
+                                "task.retry", start + waste,
+                                executor=ex.executor_id, attempt=attempts,
+                            )
+                        attempts += 1
+                        continue
+                    if attempts == max_attempts:
+                        # The final allowed attempt always succeeds here; a
+                        # real system would abort the job at this point.
+                        run.exhausted_retries += 1
                 finish = start + duration
                 if finish > finish_max:
                     finish_max = finish
-                heappush(slots, (finish, seq, ex))
+                heappush(slots, (finish, seq, core, ex, speed, io_penalty))
                 seq += 1
                 if task_spans:
                     tspan = tracer.start_span(

@@ -10,11 +10,12 @@ records are consumed exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.obs import catalog
 from repro.obs.registry import NOOP_REGISTRY, MetricsRegistry
 
+from .partition import mean_arrival_times, offsets_before
 from .topic import Topic
 
 
@@ -37,14 +38,25 @@ class OffsetRange:
 
 @dataclass(frozen=True)
 class ConsumedBatch:
-    """All offset ranges consumed at one batch boundary."""
+    """All offset ranges consumed at one batch boundary.
+
+    Partition ``i`` contributed offsets ``[starts[i], ends[i])``.
+    """
 
     batch_time: float
-    ranges: List[OffsetRange]
+    starts: Tuple[int, ...]
+    ends: Tuple[int, ...]
+
+    @property
+    def ranges(self) -> List[OffsetRange]:
+        return [
+            OffsetRange(pid, start, end)
+            for pid, (start, end) in enumerate(zip(self.starts, self.ends))
+        ]
 
     @property
     def total_records(self) -> int:
-        return sum(r.count for r in self.ranges)
+        return sum(self.ends) - sum(self.starts)
 
 
 class DirectStreamConsumer:
@@ -86,22 +98,27 @@ class DirectStreamConsumer:
 
     def poll(self, batch_time: float) -> ConsumedBatch:
         """Consume everything that arrived strictly before ``batch_time``."""
-        ranges: List[OffsetRange] = []
-        for p in self.topic.partitions:
-            end = p.offset_at(batch_time)
-            start = self._committed[p.partition_id]
+        if batch_time < 0:
+            raise ValueError(f"t must be >= 0, got {batch_time}")
+        partitions = self.topic.partitions
+        starts = tuple(self._committed)
+        ends = offsets_before(partitions, batch_time)
+        lag = 0
+        for p, start, end in zip(partitions, starts, ends):
             if end < start:
                 raise RuntimeError(
                     f"partition {p.partition_id}: offset went backwards "
                     f"({end} < committed {start})"
                 )
-            ranges.append(OffsetRange(p.partition_id, start, end))
-            self._committed[p.partition_id] = end
-        batch = ConsumedBatch(batch_time=batch_time, ranges=ranges)
-        self.total_consumed += batch.total_records
+            # The lag() gauge, computed in the same pass.
+            lag += p.end_offset - end
+        self._committed = ends
+        batch = ConsumedBatch(batch_time, starts, tuple(ends))
+        consumed = sum(ends) - sum(starts)
+        self.total_consumed += consumed
         self._m_polls.inc()
-        self._m_consumed.inc(batch.total_records)
-        self._m_lag.set(self.lag())
+        self._m_consumed.inc(consumed)
+        self._m_lag.set(lag)
         return batch
 
     def mean_arrival_time(self, batch: ConsumedBatch) -> float:
@@ -109,14 +126,16 @@ class DirectStreamConsumer:
 
         Falls back to the batch time for empty batches.
         """
+        ranges = [
+            (p, start, end)
+            for p, start, end in zip(self.topic.partitions, batch.starts, batch.ends)
+            if end > start
+        ]
+        if not ranges:
+            return batch.batch_time
         total_t = 0.0
         total_n = 0
-        for r in batch.ranges:
-            if r.count == 0:
-                continue
-            p = self.topic.partitions[r.partition_id]
-            total_t += p.mean_arrival_time(r.start, r.end) * r.count
-            total_n += r.count
-        if total_n == 0:
-            return batch.batch_time
+        for (_, start, end), mean in zip(ranges, mean_arrival_times(ranges)):
+            total_t += mean * (end - start)
+            total_n += end - start
         return total_t / total_n

@@ -18,14 +18,17 @@ second therefore keeps the log at one segment per rate change rather
 than one per tick, which keeps :meth:`Partition.mean_arrival_time` (run
 per partition per batch) away from long segment scans.  Interpolation
 inside a merged segment is identical to the per-tick answer because the
-per-record spacing is unchanged.
+per-record spacing is unchanged.  :meth:`Partition.extend` is the one
+implementation of the rule: it takes a run of spans in one pass, and a
+single :meth:`Partition.append` is its one-span case.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -102,19 +105,48 @@ class Partition:
             raise ValueError(f"count must be >= 0, got {count}")
         if t1 < t0:
             raise ValueError(f"segment end {t1} precedes start {t0}")
-        if t0 < self._last_t1 - 1e-9:
+        self.extend((t0,), (t1,), (count,), t0, t1)
+
+    def extend(
+        self,
+        t0s: Sequence[float],
+        t1s: Sequence[float],
+        counts: Sequence[int],
+        lo: float,
+        hi: float,
+    ) -> None:
+        """Append the spans ``[t0s[k], t1s[k])`` of ``counts[k]`` records.
+
+        Same result as one :meth:`append` per span, in one pass.  The
+        caller has validated the spans (:meth:`append` and
+        :meth:`repro.kafka.topic.Topic.append_ticks` do): counts are
+        non-negative, no span ends before it starts or starts before an
+        earlier one ends, ``lo`` is the least start and ``hi`` the
+        greatest end.  Only the overlap with this log's tail is checked.
+        """
+        if lo < self._last_t1 - 1e-9:
             raise ValueError(
-                f"append at t0={t0} overlaps previous segment ending at "
+                f"append at t0={lo} overlaps previous segment ending at "
                 f"{self._last_t1}"
             )
-        self._last_t1 = max(self._last_t1, t1)
-        if count == 0:
-            return
-        self._nonempty_appends += 1
-        if self._counts:
-            pt0 = self._t0[-1]
-            pt1 = self._t1[-1]
-            pcount = self._counts[-1]
+        if hi > self._last_t1:
+            self._last_t1 = hi
+        seg_t0 = self._t0
+        seg_t1 = self._t1
+        seg_counts = self._counts
+        # Tail segment in locals; an empty log gets a NaN tail that no
+        # span can extend.
+        if seg_counts:
+            pt0 = seg_t0[-1]
+            pt1 = seg_t1[-1]
+            pcount = seg_counts[-1]
+            pbase = self._bases[-1]
+        else:
+            pt0 = pt1 = math.nan
+            pcount = pbase = 0
+        for t0, t1, count in zip(t0s, t1s, counts):
+            if not count:
+                continue
             # Coalesce a contiguous same-rate extension.  Exact float
             # equality on purpose: the per-tick producer reuses the
             # previous tick's end as the next start, and cross-multiplied
@@ -122,31 +154,31 @@ class Partition:
             # and durations repeat — any other append keeps its own
             # segment so interpolation never changes.
             if t0 == pt1 and count * (pt1 - pt0) == pcount * (t1 - t0):
-                self._t1[-1] = t1
-                self._counts[-1] = pcount + count
-                self._end_offset += count
-                return
-        self._t0.append(t0)
-        self._t1.append(t1)
-        self._counts.append(count)
-        self._bases.append(self._end_offset)
-        self._end_offset += count
+                pt1 = t1
+                pcount += count
+                continue
+            if pcount:
+                seg_t1[-1] = pt1
+                seg_counts[-1] = pcount
+            pbase += pcount
+            seg_t0.append(t0)
+            seg_t1.append(t1)
+            seg_counts.append(count)
+            self._bases.append(pbase)
+            pt0 = t0
+            pt1 = t1
+            pcount = count
+        if pcount:
+            seg_t1[-1] = pt1
+            seg_counts[-1] = pcount
+        self._end_offset = pbase + pcount
+        self._nonempty_appends += len(counts) - counts.count(0)
 
     def offset_at(self, t: float) -> int:
         """Number of records that have arrived strictly before time ``t``."""
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
-        # Index of the first segment with t1 > t: all earlier segments are
-        # fully arrived; that segment may be partially arrived.
-        i = bisect.bisect_right(self._t1, t)
-        if i == len(self._t0):
-            return self._end_offset
-        total = self._bases[i]
-        if t > self._t0[i]:
-            span = self._t1[i] - self._t0[i]
-            frac = (t - self._t0[i]) / span if span > 0 else 1.0
-            total += int(frac * self._counts[i])
-        return total
+        return offsets_before((self,), t)[0]
 
     def timestamp_of(self, offset: int) -> float:
         """Arrival time of the record at ``offset``."""
@@ -173,21 +205,69 @@ class Partition:
             raise ValueError("empty offset range")
         if end_offset > self._end_offset:
             raise IndexError("end_offset beyond log end")
+        return mean_arrival_times(((self, start_offset, end_offset),))[0]
+
+
+# The two batch-boundary queries walk the segment arrays of many
+# partitions in one loop, with no per-partition method dispatch: the
+# consumer runs them over every partition at every batch boundary.
+
+
+def offsets_before(partitions: Iterable[Partition], t: float) -> List[int]:
+    """:meth:`Partition.offset_at` of each partition (``t`` >= 0)."""
+    bisect_right = bisect.bisect_right
+    offsets: List[int] = []
+    for p in partitions:
+        seg_t1 = p._t1
+        # Index of the first segment with t1 > t: all earlier segments
+        # are fully arrived; that segment may be partially arrived.
+        i = bisect_right(seg_t1, t)
+        if i == len(seg_t1):
+            offsets.append(p._end_offset)
+            continue
+        total = p._bases[i]
+        t0 = p._t0[i]
+        if t > t0:
+            span = seg_t1[i] - t0
+            frac = (t - t0) / span if span > 0 else 1.0
+            total += int(frac * p._counts[i])
+        offsets.append(total)
+    return offsets
+
+
+def mean_arrival_times(
+    ranges: Iterable[Tuple[Partition, int, int]],
+) -> List[float]:
+    """:meth:`Partition.mean_arrival_time` of each ``(partition, start,
+    end)`` range; every range must be non-empty and inside its log."""
+    bisect_right = bisect.bisect_right
+    means: List[float] = []
+    for p, start, end in ranges:
+        seg_t0 = p._t0
+        seg_t1 = p._t1
+        counts = p._counts
+        bases = p._bases
+        n = len(bases)
         total_time = 0.0
         total_count = 0
         # First segment overlapping the range.
-        i = bisect.bisect_right(self._bases, start_offset) - 1
-        i = max(i, 0)
-        while i < len(self._t0) and self._bases[i] < end_offset:
-            base, count = self._bases[i], self._counts[i]
-            lo = max(start_offset, base)
-            hi = min(end_offset, base + count)
+        i = bisect_right(bases, start) - 1
+        if i < 0:
+            i = 0
+        while i < n and bases[i] < end:
+            base = bases[i]
+            count = counts[i]
+            lo = start if start > base else base
+            hi = base + count
+            if end < hi:
+                hi = end
             if hi > lo:
                 # Mean timestamp of offsets [lo, hi) inside a uniform segment.
                 mid_frac = ((lo + hi) / 2.0 - base) / count
                 total_time += (
-                    self._t0[i] + mid_frac * (self._t1[i] - self._t0[i])
+                    seg_t0[i] + mid_frac * (seg_t1[i] - seg_t0[i])
                 ) * (hi - lo)
                 total_count += hi - lo
             i += 1
-        return total_time / total_count
+        means.append(total_time / total_count)
+    return means

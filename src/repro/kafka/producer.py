@@ -14,7 +14,7 @@ rate)" (§6.2.2) — and is the knob the back-pressure baseline actuates.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional
 
 from repro.datagen.rates import RateTrace
 from repro.obs import catalog
@@ -94,38 +94,52 @@ class RateControlledProducer:
     def produce_until(self, t: float) -> int:
         """Materialize all arrivals in ``[produced_until, t)``.
 
-        Returns the number of records produced by this call.  Throttled
-        records (above ``rate_cap``) are counted in ``total_throttled``
-        and dropped, modeling an upstream queue we do not simulate —
-        exactly the data-loss risk the paper warns unstable systems incur.
+        The call's ticks are computed first, then handed to the topic in
+        one :meth:`Topic.append_ticks` call, which fills each partition
+        in a single pass.  Returns the number of records produced by this
+        call.  Throttled records (above ``rate_cap``) are counted in
+        ``total_throttled`` and dropped, modeling an upstream queue we do
+        not simulate — exactly the data-loss risk the paper warns
+        unstable systems incur.
         """
         if t < self._produced_until:
             raise ValueError(
                 f"produce_until({t}) precedes already-produced time "
                 f"{self._produced_until}"
             )
-        produced = 0
-        while self._produced_until + 1e-12 < t:
-            t0 = self._produced_until
-            if self.count_only:
+        t0s: List[float] = []
+        t1s: List[float] = []
+        wants: List[int] = []
+        trace = self.trace
+        tick = self.tick
+        surge = self.surge
+        cap = self.rate_cap
+        count_only = self.count_only
+        t0 = self._produced_until
+        while t0 + 1e-12 < t:
+            if count_only:
                 # One production span per constant-rate region, but never
                 # shorter than a tick (sub-tick regions integrate across
                 # their boundary exactly as the default path does).
-                t1 = min(t, max(self.trace.constant_until(t0), t0 + self.tick))
+                t1 = min(t, max(trace.constant_until(t0), t0 + tick))
             else:
-                t1 = min(t0 + self.tick, t)
-            want = self.trace.records_between(t0, t1)
-            if self.surge != 1.0:
-                want = int(round(want * self.surge))
-            if self.rate_cap is not None:
-                allowed = int(math.floor(self.rate_cap * (t1 - t0)))
+                t1 = min(t0 + tick, t)
+            want = trace.records_between(t0, t1)
+            if surge != 1.0:
+                want = int(round(want * surge))
+            if cap is not None:
+                allowed = int(math.floor(cap * (t1 - t0)))
                 if want > allowed:
                     self.total_throttled += want - allowed
                     self._m_throttled.inc(want - allowed)
                     want = allowed
-            self.topic.append_uniform(t0, t1, want)
-            produced += want
-            self._produced_until = t1
+            t0s.append(t0)
+            t1s.append(t1)
+            wants.append(want)
+            t0 = t1
+        self.topic.append_ticks(t0s, t1s, wants)
+        self._produced_until = t0
+        produced = sum(wants)
         self.total_produced += produced
         if produced:
             self._m_produced.inc(produced)

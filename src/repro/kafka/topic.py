@@ -8,7 +8,8 @@ enforces the same guidance by default.
 
 from __future__ import annotations
 
-from typing import List
+import math
+from typing import List, Sequence
 
 from .partition import Partition
 
@@ -41,18 +42,62 @@ class Topic:
     def append_uniform(self, t0: float, t1: float, count: int) -> None:
         """Append ``count`` records spread evenly over partitions.
 
-        Mirrors the paper's skew-free setup: "The data are sent to each
-        Kafka Broker uniformly to avoid data skew."  The remainder after
-        integer division rotates across partitions keyed by the segment
-        count so no partition is systematically favored.
+        The one-tick case of :meth:`append_ticks`.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        self.append_ticks((t0,), (t1,), (count,))
+
+    def append_ticks(
+        self,
+        t0s: Sequence[float],
+        t1s: Sequence[float],
+        counts: Sequence[int],
+    ) -> None:
+        """Append ticks: ``counts[k]`` records over ``[t0s[k], t1s[k])``.
+
+        Mirrors the paper's skew-free setup: "The data are sent to each
+        Kafka Broker uniformly to avoid data skew."  Each tick splits its
+        count evenly over partitions; the remainder after integer
+        division rotates across partitions keyed by partition 0's
+        non-empty appends before the tick (coalescing-proof, and
+        identical to the pre-coalescing segment count), so no partition
+        is systematically favored.
+
+        Equivalent to appending tick by tick, but each partition is
+        filled in one pass over the ticks.
+        """
+        if not (len(t0s) == len(t1s) == len(counts)):
+            raise ValueError("t0s, t1s and counts must have equal lengths")
         n = self.num_partitions
-        base, rem = divmod(count, n)
-        # Rotation key: non-empty appends to partition 0 (coalescing-proof,
-        # and identical to the pre-coalescing segment count).
+        last = -math.inf
+        lo = math.inf
+        # One row of per-partition counts per tick; the remainder goes to
+        # the cyclic window of ``rem`` partitions starting at the
+        # rotation key.
+        rows: List[List[int]] = []
         start = self.partitions[0].nonempty_appends
-        for i, p in enumerate(self.partitions):
-            extra = 1 if (i - start) % n < rem else 0
-            p.append(t0, t1, base + extra)
+        for t0, t1, count in zip(t0s, t1s, counts):
+            if count < 0:
+                raise ValueError(f"count must be >= 0, got {count}")
+            if t1 < t0:
+                raise ValueError(f"segment end {t1} precedes start {t0}")
+            if t0 < last - 1e-9:
+                raise ValueError(
+                    f"tick at t0={t0} overlaps an earlier tick ending at {last}"
+                )
+            if t1 > last:
+                last = t1
+            if t0 < lo:
+                lo = t0
+            base, rem = divmod(count, n)
+            row = [base] * n
+            if rem:
+                first = start % n
+                head = min(rem, n - first)
+                row[first:first + head] = [base + 1] * head
+                row[: rem - head] = [base + 1] * (rem - head)
+            if row[0]:
+                start += 1
+            rows.append(row)
+        # Transpose to partition-major: each partition takes its column.
+        for p, column in zip(self.partitions, zip(*rows)):
+            p.extend(t0s, t1s, column, lo, last)

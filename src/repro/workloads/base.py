@@ -73,27 +73,32 @@ class Workload(abc.ABC):
             raise ValueError(f"records must be >= 0, got {records}")
         cost_records = self.effective_records(records)
         iters = self.cost_model.iterations.draw(rng)
+        partitions = self.partitions
+        per_task, rem = divmod(cost_records, partitions)
+        iterated = self.cost_model.iterated_stages
         stages: List[Stage] = []
         for sid, sc in enumerate(self.cost_model.stages):
-            per_task, rem = divmod(cost_records, self.partitions)
-            tasks = []
-            for tid in range(self.partitions):
-                n = per_task + (1 if tid < rem else 0)
-                tasks.append(
-                    TaskSpec(
-                        task_id=tid,
-                        records=n,
-                        compute_cost=sc.fixed_compute / self.partitions
-                        + n * sc.compute_per_record,
-                        io_cost=n * sc.io_per_record,
-                    )
-                )
+            # A stage's tasks carry one of two (records, compute, io)
+            # costs — the first ``rem`` tasks take one extra record — so
+            # each is computed once per stage, not once per task.
+            fixed = sc.fixed_compute / partitions
+            small = (
+                per_task,
+                fixed + per_task * sc.compute_per_record,
+                per_task * sc.io_per_record,
+            )
+            n = per_task + 1
+            big = (n, fixed + n * sc.compute_per_record, n * sc.io_per_record)
+            tasks = [
+                TaskSpec(tid, *(big if tid < rem else small))
+                for tid in range(partitions)
+            ]
             stages.append(
                 Stage(
                     stage_id=sid,
                     name=sc.name,
                     tasks=tasks,
-                    iterations=iters if sc.name in self.cost_model.iterated_stages else 1,
+                    iterations=iters if sc.name in iterated else 1,
                 )
             )
         job = BatchJob(

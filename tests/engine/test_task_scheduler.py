@@ -106,6 +106,17 @@ class TestScheduling:
         fast = sched.run_job(job, fast_ex, 0.0, np.random.default_rng(0))
         assert slow.processing_time > fast.processing_time
 
+    def test_zero_duration_tasks_across_task_sets(self, rng):
+        # Zero-cost tasks with zero dispatch overhead finish exactly when
+        # they start, and every task set restarts its slot sequence, so
+        # two heap entries can tie on (free_at, seq).  Such a tie used to
+        # fall through to comparing Executor objects (TypeError).
+        sched = TaskScheduler(overhead=ZERO_OVERHEAD, noise=NoiseModel(sigma=0.1))
+        run = sched.run_job(
+            make_job(tasks=1, cost=0.0, iterations=2), executors(2), 0.0, rng
+        )
+        assert run.processing_time == 0.0
+
 
 class TestOverheadCharging:
     def test_fresh_executor_pays_startup(self, rng):

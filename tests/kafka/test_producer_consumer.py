@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.datagen.generator import DataGenerator
 from repro.datagen.rates import ConstantRate, StepRate
 from repro.kafka.consumer import DirectStreamConsumer, OffsetRange
 from repro.kafka.producer import RateControlledProducer
 from repro.kafka.topic import Topic
+from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import Telemetry
+from repro.streaming.receiver import Receiver
 
 
 @pytest.fixture
@@ -101,3 +105,45 @@ class TestConsumer:
         c.poll(2.0)
         c.poll(4.0)
         assert c.total_consumed == 400
+
+
+class TestLagGauge:
+    """``poll`` sets the lag gauge in its own pass over the partitions;
+    the value must be exactly what a separate :meth:`lag` scan reports."""
+
+    @staticmethod
+    def gauge(registry, topic):
+        family = registry.get("repro_kafka_consumer_lag_records")
+        return family.labels(topic=topic.name).value
+
+    def test_gauge_equals_lag_across_stall_and_resume(self):
+        topic = Topic("t", 7)
+        registry = MetricsRegistry()
+        p = RateControlledProducer(topic, StepRate.of((0.0, 333.0), (9.0, 41.0)))
+        c = DirectStreamConsumer(topic)
+        c.instrument(registry)
+        lags = []
+        # The producer runs ahead of the consumer by a non-integer margin,
+        # so every poll leaves a backlog behind.  Polls stop for three
+        # boundaries (stall), then resume and drain the pile-up.
+        for i, polled in enumerate([1, 1, 0, 0, 0, 1, 1, 1]):
+            t = 2.0 * (i + 1)
+            p.produce_until(t + 1.3)
+            if polled:
+                c.poll(t)
+                lags.append(c.lag())
+                assert self.gauge(registry, topic) == lags[-1]
+        assert min(lags) > 0
+
+    def test_gauge_follows_receiver_stall_and_resume(self):
+        telemetry = Telemetry()
+        topic = Topic("t", 5)
+        receiver = Receiver(DataGenerator(topic, ConstantRate(97.0)), telemetry)
+        receiver.close_batch(2.0)
+        receiver.stall()
+        receiver.close_batch(4.0)
+        receiver.close_batch(6.0)
+        assert receiver.backlog == 388  # records piled up, none polled
+        receiver.resume()
+        receiver.close_batch(8.0)
+        assert self.gauge(telemetry.metrics, topic) == receiver.consumer.lag()
