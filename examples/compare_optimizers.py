@@ -2,23 +2,33 @@
 vs grid search on the same live system (Fig. 8 extended).
 
 All four optimizers drive identical deployments through the identical
-Adjust measurement pathway; the table reports the paper's three axes —
-final delay, search time (simulated seconds), configuration steps — plus
-each final configuration.
+Adjust measurement pathway and stop under the identical pause rule: the
+baselines are registered tuners run through the shared ``run_tuner``
+loop, and every optimizer's best configuration is confirmed by
+``confirm_best``.  The table reports the paper's three axes — final
+delay, search time (simulated seconds), configuration steps — with each
+final configuration re-measured fresh.
 
 Run:  python examples/compare_optimizers.py
 """
 
 from repro.analysis.tables import format_table
-from repro.baselines.bayesian import run_bayesian_optimization
 from repro.baselines.fixed import run_fixed_configuration
-from repro.baselines.grid_search import run_grid_search
-from repro.baselines.random_search import run_random_search
-from repro.core.adjust import theta_to_configuration
-from repro.experiments.common import build_experiment
+from repro.core.adjust import AdjustFunction, confirm_best, theta_to_configuration
+from repro.core.metrics_collector import MetricsCollector
+from repro.core.pause import PauseRule
+from repro.experiments.common import build_experiment, make_controller
+from repro.tuners import make_tuner, run_tuner
 
 WORKLOAD = "linear_regression"
 SEED = 23
+
+#: Baseline rows: (label, registered tuner, tuner options).
+BASELINES = (
+    ("Bayesian opt", "bo", {}),
+    ("Random search", "random", {}),
+    ("Grid search (6x6)", "grid", {"points_per_axis": 6}),
+)
 
 
 def honest_delay(theta, scaler) -> float:
@@ -40,8 +50,6 @@ def honest_delay(theta, scaler) -> float:
 def main() -> None:
     rows = []
 
-    from repro.experiments.common import make_controller
-
     setup = build_experiment(WORKLOAD, seed=SEED)
     ctrl = make_controller(setup, seed=SEED)
     rep = ctrl.run(35)
@@ -52,26 +60,23 @@ def main() -> None:
                  spsa_time, spsa_steps,
                  "yes" if rep.first_pause_round else "no"))
 
-    setup = build_experiment(WORKLOAD, seed=SEED)
-    bo = run_bayesian_optimization(
-        setup.system, setup.scaler, max_evaluations=70, seed=SEED
-    )
-    rows.append(("Bayesian opt", honest_delay(bo.final_theta, setup.scaler),
-                 bo.search_time, bo.config_steps,
-                 "yes" if bo.converged_at else "no"))
-
-    setup = build_experiment(WORKLOAD, seed=SEED)
-    rs = run_random_search(
-        setup.system, setup.scaler, max_evaluations=70, seed=SEED
-    )
-    rows.append(("Random search", honest_delay(rs.best().theta, setup.scaler),
-                 rs.search_time, len(rs.evaluations),
-                 "yes" if rs.converged_at else "no"))
-
-    setup = build_experiment(WORKLOAD, seed=SEED)
-    gs = run_grid_search(setup.system, setup.scaler, points_per_axis=6)
-    rows.append(("Grid search (6x6)", honest_delay(gs.best().theta, setup.scaler),
-                 gs.search_time, len(gs.evaluations), "n/a"))
+    for label, name, options in BASELINES:
+        setup = build_experiment(WORKLOAD, seed=SEED)
+        rule, collector = PauseRule(), MetricsCollector()
+        start = setup.system.time
+        run = run_tuner(
+            make_tuner(name, setup.scaler, seed=SEED, **options),
+            setup.system, setup.scaler, max_evaluations=70,
+            pause_rule=rule, collector=collector,
+        )
+        confirm_best(
+            rule, AdjustFunction(setup.system, setup.scaler, collector),
+            run.evaluations,
+        )
+        rows.append((label,
+                     honest_delay(rule.best_config().theta, setup.scaler),
+                     setup.system.time - start, run.evaluations,
+                     "yes" if run.converged else "no"))
 
     print(format_table(
         ["optimizer", "final delay (s)", "search time (s)",

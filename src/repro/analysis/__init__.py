@@ -4,7 +4,6 @@ the benchmark harness, and JSON experiment traces."""
 from .chaos import (
     baseline_delay,
     delay_overshoot,
-    poisoned_step_fraction,
     time_to_recover,
 )
 from .convergence import (
@@ -26,7 +25,6 @@ __all__ = [
     "load_span_jsonl",
     "baseline_delay",
     "delay_overshoot",
-    "poisoned_step_fraction",
     "time_to_recover",
     "best_so_far",
     "distance_to_final",

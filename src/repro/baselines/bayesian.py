@@ -8,71 +8,25 @@ optimization result (end-to-end delay), search time, and configuration
 steps — BO pays *one* configuration change per objective evaluation but
 needs more evaluations and a surrogate refit per step, while SPSA pays
 two changes per iteration and converges in fewer iterations.
+
+This module holds the optimizer; the live-system loop is
+:func:`repro.tuners.run_tuner` driving the ``bo`` tuner, followed by
+:func:`repro.core.adjust.confirm_best`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.adjust import (
-    AdjustFunction,
-    AdjustResult,
-    ControlledSystem,
-    evaluate_config,
-)
-from repro.core.bounds import Box, MinMaxScaler
-from repro.core.metrics_collector import MetricsCollector
-from repro.core.pause import PauseRule
+from repro.core.bounds import Box
+from repro.core.objective import clamp_objective
 from repro.obs import catalog
 from repro.obs.registry import NOOP_REGISTRY, MetricsRegistry
 
 from .acquisition import expected_improvement
 from .gp import GaussianProcess
-
-#: Finite stand-in for a diverged (non-finite) objective observation.
-#: Large enough to rank a diverged configuration strictly worst, small
-#: enough to keep the GP solve numerically sane.
-DIVERGENCE_PENALTY = 1.0e6
-
-
-@dataclass(frozen=True)
-class BOEvaluation:
-    """One configuration evaluation in the BO loop."""
-
-    index: int
-    theta: np.ndarray
-    objective: float
-    end_to_end_delay: float
-    sim_time: float
-
-
-@dataclass
-class BOReport:
-    """Outcome of a Bayesian-optimization run (Fig. 8 axes)."""
-
-    evaluations: List[BOEvaluation] = field(default_factory=list)
-    converged_at: Optional[int] = None
-    search_time: Optional[float] = None
-    config_changes: int = 0
-    final_theta: Optional[np.ndarray] = None
-    final_delay: Optional[float] = None
-
-    @property
-    def config_steps(self) -> int:
-        """Configuration changes consumed (one per evaluation)."""
-        return len(self.evaluations)
-
-    def best(self) -> BOEvaluation:
-        if not self.evaluations:
-            raise RuntimeError("no evaluations recorded")
-        # Lexicographic-θ tie-break keeps the winner independent of
-        # evaluation order when objectives tie exactly.
-        return min(
-            self.evaluations, key=lambda e: (e.objective, tuple(e.theta))
-        )
 
 
 class BayesianOptimizer:
@@ -86,21 +40,17 @@ class BayesianOptimizer:
         candidates_per_step: int = 256,
         noise_var: float = 0.05,
         length_scale_frac: float = 0.2,
-        divergence_penalty: float = DIVERGENCE_PENALTY,
     ) -> None:
         if init_points < 2:
             raise ValueError("init_points must be >= 2")
         if candidates_per_step < 8:
             raise ValueError("candidates_per_step must be >= 8")
-        if not np.isfinite(divergence_penalty):
-            raise ValueError("divergence_penalty must be finite")
         self.box = box
         self.rng = np.random.default_rng(seed)
         self.init_points = init_points
         self.candidates = candidates_per_step
         self.noise_var = noise_var
         self.length_scale_frac = length_scale_frac
-        self.divergence_penalty = divergence_penalty
         #: Non-finite observations clamped to the divergence penalty.
         self.penalized = 0
         self._x: List[np.ndarray] = []
@@ -155,7 +105,8 @@ class BayesianOptimizer:
         """Record one observation.
 
         A non-finite objective (a diverged, unstable-queue probe) is
-        clamped to the finite divergence penalty instead of raising —
+        clamped through :func:`~repro.core.objective.clamp_objective`
+        instead of raising —
         one bad configuration must not abort a whole tournament run.
         The clamp is counted on ``repro_tuner_penalized_total``.
         """
@@ -163,11 +114,10 @@ class BayesianOptimizer:
         if not self.box.contains(t):
             raise ValueError(f"theta {t} outside the feasible box")
         if not np.isfinite(y):
-            y = self.divergence_penalty
             self.penalized += 1
             self._m_penalized.inc()
         self._x.append(t)
-        self._y.append(float(y))
+        self._y.append(clamp_objective(y))
 
     @property
     def observations(self) -> int:
@@ -184,72 +134,3 @@ class BayesianOptimizer:
         # Lexicographically smallest θ among exact ties: deterministic
         # under any observation order.
         return np.asarray(min(tied), dtype=float)
-
-
-def run_bayesian_optimization(
-    system: ControlledSystem,
-    scaler: MinMaxScaler,
-    max_evaluations: int = 40,
-    rho: float = 2.0,
-    pause_rule: Optional[PauseRule] = None,
-    collector: Optional[MetricsCollector] = None,
-    seed: int = 0,
-    on_evaluation: Optional[Callable[[BOEvaluation], None]] = None,
-) -> BOReport:
-    """Drive BO against a live system, mirroring the NoStop run loop.
-
-    Uses the same Adjust measurement pathway and the same impeded-
-    progress convergence rule as NoStop so the Fig. 8 comparison is
-    apples-to-apples.  ``rho`` is fixed at NoStop's penalty cap (BO has
-    no iteration-coupled schedule).
-    """
-    if max_evaluations < 1:
-        raise ValueError("max_evaluations must be >= 1")
-    collector = collector or MetricsCollector()
-    adjust = AdjustFunction(system, scaler, collector)
-    optimizer = BayesianOptimizer(scaler.scaled, seed=seed)
-    rule = pause_rule or PauseRule()
-    report = BOReport()
-    start_time = system.time
-
-    for i in range(max_evaluations):
-        theta = optimizer.ask()
-        result: AdjustResult = adjust(theta, rho)
-        optimizer.tell(theta, result.objective)
-        evaluated = evaluate_config(result, theta, i + 1, rho_cap=rho)
-        rule.record(evaluated)
-        evaluation = BOEvaluation(
-            index=i + 1,
-            theta=np.asarray(theta, dtype=float),
-            objective=result.objective,
-            end_to_end_delay=evaluated.end_to_end_delay,
-            sim_time=system.time,
-        )
-        report.evaluations.append(evaluation)
-        if on_evaluation is not None:
-            on_evaluation(evaluation)
-        if rule.should_pause():
-            report.converged_at = i + 1
-            break
-
-    # Confirmation pass (symmetric with NoStopController.confirm_best):
-    # re-measure the incumbent best until it has two windows, so BO's
-    # reported optimum is not a single lucky measurement.
-    for _ in range(4):
-        if not rule.evaluations:
-            break
-        incumbent = rule.best_config()
-        if rule.measurement_count(incumbent.theta) >= 2:
-            break
-        theta = np.asarray(incumbent.theta, dtype=float)
-        result = adjust(theta, rho)
-        optimizer.tell(theta, result.objective)
-        rule.record(evaluate_config(result, theta, optimizer.observations, rho_cap=rho))
-
-    report.search_time = system.time - start_time
-    report.config_changes = system.config_changes
-    confirmed = rule.best_config() if rule.evaluations else None
-    if confirmed is not None:
-        report.final_theta = np.asarray(confirmed.theta, dtype=float)
-        report.final_delay = confirmed.end_to_end_delay
-    return report

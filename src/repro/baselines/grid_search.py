@@ -1,39 +1,18 @@
 """Exhaustive grid search over the configuration space.
 
 The paper's §1 argues exhaustive search is "prohibitively time-consuming
-when there is a large value range for the control parameters"; this
-module exists to *demonstrate* that claim quantitatively in the
-ablation benches: even a coarse grid needs an order of magnitude more
-live configuration changes than SPSA.
+when there is a large value range for the control parameters"; the
+``grid`` tuner (:class:`repro.tuners.GridTuner`) enumerates these points
+through :func:`repro.tuners.run_tuner` to *demonstrate* that claim: even
+a coarse grid needs an order of magnitude more live configuration
+changes than SPSA.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
 import numpy as np
 
-from repro.core.adjust import AdjustFunction, ControlledSystem, evaluate_config
 from repro.core.bounds import MinMaxScaler
-from repro.core.metrics_collector import MetricsCollector
-from repro.core.pause import EvaluatedConfig
-
-
-@dataclass
-class GridSearchReport:
-    """Outcome of a grid-search sweep."""
-
-    evaluations: List[EvaluatedConfig] = field(default_factory=list)
-    search_time: float = 0.0
-    config_changes: int = 0
-
-    def best(self) -> EvaluatedConfig:
-        if not self.evaluations:
-            raise RuntimeError("no evaluations recorded")
-        # Exact objective ties break lexicographically on θ, not on grid
-        # enumeration order, so the winner survives grid re-orderings.
-        return min(self.evaluations, key=lambda e: (e.objective, e.theta))
 
 
 def grid_points(scaler: MinMaxScaler, points_per_axis: int) -> np.ndarray:
@@ -47,31 +26,3 @@ def grid_points(scaler: MinMaxScaler, points_per_axis: int) -> np.ndarray:
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def run_grid_search(
-    system: ControlledSystem,
-    scaler: MinMaxScaler,
-    points_per_axis: int = 5,
-    rho: float = 2.0,
-    collector: Optional[MetricsCollector] = None,
-    max_evaluations: Optional[int] = None,
-) -> GridSearchReport:
-    """Evaluate every grid point through the Adjust pathway."""
-    collector = collector or MetricsCollector()
-    adjust = AdjustFunction(system, scaler, collector)
-    report = GridSearchReport()
-    start = system.time
-    points = grid_points(scaler, points_per_axis)
-    if max_evaluations is not None:
-        points = points[:max_evaluations]
-
-    for i, theta in enumerate(points):
-        result = adjust(theta, rho)
-        report.evaluations.append(
-            evaluate_config(result, theta, i + 1, rho_cap=rho)
-        )
-
-    report.search_time = system.time - start
-    report.config_changes = system.config_changes
-    return report

@@ -667,10 +667,47 @@ def _cmd_tournament(args) -> int:
     return 1 if (t.failed and args.strict) else 0
 
 
+#: ``repro compare`` baseline rows: (label, registered tuner name).
+_COMPARE_BASELINES = (
+    ("Bayesian opt", "bo"),
+    ("Simulated annealing", "annealing"),
+    ("Random search", "random"),
+)
+
+
+def _compare_baseline(name: str, workload: str, seed: int, budget: int):
+    """One ``repro compare`` baseline row's run.
+
+    The registered tuner through the shared ``run_tuner`` loop, then
+    ``confirm_best``; returns the run report and the pause rule's
+    confirmed (stable-first, per-θ-averaged) best configuration.
+    """
+    from repro.core.adjust import AdjustFunction, confirm_best
+    from repro.core.metrics_collector import MetricsCollector
+    from repro.core.pause import PauseRule
+    from repro.experiments.common import build_experiment
+    from repro.tuners import make_tuner, run_tuner
+
+    setup = build_experiment(workload, seed=seed)
+    rule = PauseRule()
+    collector = MetricsCollector()
+    report = run_tuner(
+        make_tuner(name, setup.scaler, seed=seed),
+        setup.system,
+        setup.scaler,
+        max_evaluations=budget,
+        pause_rule=rule,
+        collector=collector,
+    )
+    confirm_best(
+        rule,
+        AdjustFunction(setup.system, setup.scaler, collector),
+        report.evaluations,
+    )
+    return report, rule.best_config()
+
+
 def _cmd_compare(args) -> int:
-    from repro.baselines.annealing import run_simulated_annealing
-    from repro.baselines.bayesian import run_bayesian_optimization
-    from repro.baselines.random_search import run_random_search
     from repro.experiments.common import build_experiment, make_controller
 
     rows = []
@@ -683,27 +720,12 @@ def _cmd_compare(args) -> int:
                  report.adjust_calls_to_pause or controller.adjust.calls,
                  "yes" if report.first_pause_round else "no"))
 
-    budget = 2 * args.rounds
-    setup = build_experiment(args.workload, seed=args.seed)
-    bo = run_bayesian_optimization(
-        setup.system, setup.scaler, max_evaluations=budget, seed=args.seed
-    )
-    rows.append(("Bayesian opt", f"{bo.final_delay:.2f}", bo.config_steps,
-                 "yes" if bo.converged_at else "no"))
-
-    setup = build_experiment(args.workload, seed=args.seed)
-    sa = run_simulated_annealing(
-        setup.system, setup.scaler, max_evaluations=budget, seed=args.seed
-    )
-    rows.append(("Simulated annealing", f"{sa.best().end_to_end_delay:.2f}",
-                 sa.config_steps, "yes" if sa.converged_at else "no"))
-
-    setup = build_experiment(args.workload, seed=args.seed)
-    rs = run_random_search(
-        setup.system, setup.scaler, max_evaluations=budget, seed=args.seed
-    )
-    rows.append(("Random search", f"{rs.best().end_to_end_delay:.2f}",
-                 len(rs.evaluations), "yes" if rs.converged_at else "no"))
+    for label, name in _COMPARE_BASELINES:
+        run, best = _compare_baseline(
+            name, args.workload, args.seed, 2 * args.rounds
+        )
+        rows.append((label, f"{best.end_to_end_delay:.2f}", run.evaluations,
+                     "yes" if run.converged else "no"))
 
     print(format_table(
         ["optimizer", "final delay (s)", "config steps", "converged"],

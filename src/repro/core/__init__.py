@@ -11,6 +11,7 @@ from .adjust import (
     AdjustFunction,
     AdjustResult,
     ControlledSystem,
+    confirm_best,
     evaluate_config,
     theta_to_configuration,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "SPSAOptimizer",
     "SegmentedUniformPerturbation",
     "SimulatedSparkSystem",
+    "confirm_best",
     "estimate_measurement_std",
     "evaluate_config",
     "multi_parameter_space",

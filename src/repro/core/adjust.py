@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import MinMaxScaler
 from .metrics_collector import Measurement, MetricsCollector
 from .objective import penalized_objective
-from .pause import STABILITY_MARGIN
+from .pause import STABILITY_MARGIN, PauseRule
 
 
 class ControlledSystem(abc.ABC):
@@ -227,3 +227,37 @@ class AdjustFunction:
             apply_failed=apply_failed,
             measured_at=self.system.time,
         )
+
+
+def confirm_best(
+    rule: PauseRule,
+    adjust: AdjustFunction,
+    iteration: int,
+    rho_cap: float = 2.0,
+    max_confirmations: int = 4,
+    skip_corrupted: bool = False,
+) -> None:
+    """Re-measure singleton winners before trusting them (§5.3.5).
+
+    With dozens of noisy two-to-three-batch probe windows, the
+    minimum-objective configuration is biased toward lucky measurements
+    (winner's curse).  Re-measuring the rule's current best until it has
+    at least two windows — demoting it if the average no longer wins —
+    makes a reported final configuration honest.  Every optimizer runs
+    this after its search loop.  ``skip_corrupted`` drops results whose
+    window a fault transient poisoned (the hardened controller), so they
+    neither confirm nor demote the incumbent.
+    """
+    if max_confirmations < 0:
+        raise ValueError("max_confirmations must be >= 0")
+    for _ in range(max_confirmations):
+        if not rule.evaluations:
+            return
+        best = rule.best_config()
+        if rule.measurement_count(best.theta) >= 2:
+            return
+        theta = np.asarray(best.theta, dtype=float)
+        result = adjust(theta, rho_cap)
+        if skip_corrupted and result.corrupted:
+            continue
+        rule.record(evaluate_config(result, theta, iteration, rho_cap=rho_cap))

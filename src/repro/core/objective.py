@@ -16,7 +16,15 @@ stability constraint without drowning the interval-minimization goal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+#: Finite stand-in for a diverged (non-finite) objective observation.
+#: Large enough to rank a diverged configuration strictly worst, small
+#: enough to keep a GP surrogate's solve numerically sane; every tuner
+#: clamps through :func:`clamp_objective` so they all rank a diverged
+#: probe identically.
+DIVERGENCE_PENALTY = 1.0e6
 
 
 def penalized_objective(
@@ -30,6 +38,12 @@ def penalized_objective(
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     return batch_interval + rho * max(0.0, processing_time - batch_interval)
+
+
+def clamp_objective(y: float) -> float:
+    """Map a non-finite objective to the finite divergence penalty."""
+    value = float(y)
+    return value if math.isfinite(value) else DIVERGENCE_PENALTY
 
 
 @dataclass

@@ -206,11 +206,16 @@ def _nostop_cell(params: Dict[str, Any]) -> Dict[str, Any]:
 
 @register_cell("bo")
 def _bo_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One Bayesian-optimization baseline run (Fig. 8 comparison)."""
-    from repro.baselines.bayesian import run_bayesian_optimization
+    """One Bayesian-optimization baseline run (Fig. 8 comparison).
+
+    The ``bo`` tuner through the shared :func:`~repro.tuners.run_tuner`
+    loop, then the confirmation pass every reported optimum gets.
+    """
+    from repro.core.adjust import AdjustFunction, confirm_best
     from repro.core.metrics_collector import MetricsCollector
     from repro.core.pause import PauseRule
     from repro.experiments.common import build_experiment
+    from repro.tuners import make_tuner, run_tuner
 
     workload = params.pop("workload")
     seed = int(params.pop("seed"))
@@ -223,25 +228,28 @@ def _bo_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     setup = build_experiment(
         workload, seed=seed, count_only=count_only, fidelity=fidelity
     )
-    report = run_bayesian_optimization(
+    rule = PauseRule()
+    collector = MetricsCollector()
+    start_time = setup.system.time
+    report = run_tuner(
+        make_tuner("bo", setup.scaler, seed=seed),
         setup.system,
         setup.scaler,
         max_evaluations=max_evaluations,
-        seed=seed,
-        pause_rule=PauseRule(),
-        collector=MetricsCollector(),
+        pause_rule=rule,
+        collector=collector,
     )
-    final_delay = (
-        report.final_delay
-        if report.final_delay is not None
-        else report.best().end_to_end_delay
+    confirm_best(
+        rule,
+        AdjustFunction(setup.system, setup.scaler, collector),
+        report.evaluations,
     )
     return {
         "workload": workload,
-        "finalDelay": final_delay,
-        "searchTime": float(report.search_time or 0.0),
-        "configSteps": report.config_steps,
-        "converged": report.converged_at is not None,
+        "finalDelay": rule.best_config().end_to_end_delay,
+        "searchTime": float(setup.system.time - start_time),
+        "configSteps": report.evaluations,
+        "converged": report.converged,
         "batchesExecuted": len(setup.context.listener.metrics),
     }
 

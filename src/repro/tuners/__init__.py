@@ -11,6 +11,8 @@ See :mod:`repro.tuners.base` for the protocol and the run driver,
 :mod:`repro.tuners.tournament` for scenarios and the leaderboard.
 """
 
+from repro.core.objective import DIVERGENCE_PENALTY, clamp_objective
+
 from .adapters import (
     AnnealingTuner,
     BOTuner,
@@ -19,10 +21,8 @@ from .adapters import (
     RandomTuner,
 )
 from .base import (
-    DIVERGENCE_PENALTY,
     Tuner,
     TunerRunReport,
-    clamp_objective,
     make_tuner,
     register_tuner,
     run_tuner,

@@ -18,11 +18,11 @@ from repro.baselines.bayesian import BayesianOptimizer
 from repro.baselines.grid_search import grid_points
 from repro.core.bounds import MinMaxScaler
 from repro.core.gains import GainSchedule, paper_gains
-from repro.core.objective import RhoSchedule
+from repro.core.objective import RhoSchedule, clamp_objective
 from repro.core.pause import EvaluatedConfig
 from repro.core.spsa import SPSAOptimizer
 
-from .base import Tuner, clamp_objective, register_tuner
+from .base import Tuner, register_tuner
 
 
 @register_tuner("nostop")

@@ -34,18 +34,6 @@ from repro.core.pause import EvaluatedConfig, PauseRule
 from repro.obs import catalog
 from repro.obs.registry import MetricsRegistry
 
-#: Finite stand-in for a diverged (non-finite) objective observation —
-#: shared with :mod:`repro.baselines.bayesian` so every tuner ranks a
-#: diverged probe identically.
-DIVERGENCE_PENALTY = 1.0e6
-
-
-def clamp_objective(y: float, penalty: float = DIVERGENCE_PENALTY) -> float:
-    """Map a non-finite objective to the finite divergence penalty."""
-    value = float(y)
-    return value if np.isfinite(value) else float(penalty)
-
-
 class Tuner(abc.ABC):
     """One optimizer behind the ask/observe/checkpoint protocol.
 
@@ -77,7 +65,7 @@ class Tuner(abc.ABC):
         """Feed back the measured objective for an asked θ.
 
         ``objective`` may be non-finite (a diverged probe); tuners clamp
-        it through :func:`clamp_objective` rather than raising.
+        it through :func:`~repro.core.objective.clamp_objective` rather than raising.
         ``evaluated`` carries the ranked record (stability verdict,
         steady-state delay) for tuners whose policy depends on more than
         the scalar objective.

@@ -29,9 +29,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.bounds import MinMaxScaler
+from repro.core.objective import clamp_objective
 from repro.core.pause import EvaluatedConfig
 
-from .base import Tuner, clamp_objective, register_tuner
+from .base import Tuner, register_tuner
 
 #: Load-ratio bin edges: stable / near-frontier / frontier / unstable.
 LOAD_BINS = (0.5, 0.8, 1.0)

@@ -31,9 +31,10 @@ from typing import Optional
 import numpy as np
 
 from repro.core.bounds import MinMaxScaler
+from repro.core.objective import clamp_objective
 from repro.core.pause import EvaluatedConfig
 
-from .base import Tuner, clamp_objective, register_tuner
+from .base import Tuner, register_tuner
 
 
 @register_tuner("safe-online")

@@ -1,46 +1,51 @@
-"""Tests for the simulated-annealing baseline."""
+"""Tests for the simulated-annealing baseline.
+
+The ``annealing`` tuner runs through the shared ``run_tuner`` loop; its
+acceptance count and temperature are read from the tuner.
+"""
 
 import pytest
 
-from repro.baselines.annealing import run_simulated_annealing
+from repro.core.pause import PauseRule
 from repro.experiments.common import build_experiment
+from repro.tuners import make_tuner, run_tuner
+
+
+def _anneal(seed, max_evaluations, **options):
+    """One annealing run on wordcount; returns (tuner, report, rule)."""
+    setup = build_experiment("wordcount", seed=seed)
+    tuner = make_tuner("annealing", setup.scaler, seed=seed, **options)
+    rule = PauseRule()
+    report = run_tuner(
+        tuner, setup.system, setup.scaler,
+        max_evaluations=max_evaluations, pause_rule=rule,
+    )
+    return tuner, report, rule
 
 
 class TestSimulatedAnnealing:
     def test_reports_comparable_axes(self):
-        setup = build_experiment("wordcount", seed=9)
-        report = run_simulated_annealing(
-            setup.system, setup.scaler, max_evaluations=20, seed=9
-        )
-        assert 1 <= report.config_steps <= 20
+        tuner, report, _ = _anneal(9, max_evaluations=20)
+        assert 1 <= report.evaluations <= 20
         assert report.search_time > 0
-        assert report.accepted >= 0
-        assert report.final_temperature < 10.0  # cooled
+        assert tuner.accepted >= 0
+        assert tuner.temperature < 10.0  # cooled
 
     def test_finds_better_than_start(self):
-        setup = build_experiment("wordcount", seed=10)
-        report = run_simulated_annealing(
-            setup.system, setup.scaler, max_evaluations=30, seed=10
-        )
-        start = report.evaluations[0]
-        best = report.best()
+        _, report, rule = _anneal(10, max_evaluations=30)
+        start = report.evaluated[0]
+        best = rule.best_config()
         assert best.objective <= start.objective
 
     def test_accepts_some_moves(self):
-        setup = build_experiment("wordcount", seed=11)
-        report = run_simulated_annealing(
-            setup.system, setup.scaler, max_evaluations=25, seed=11
-        )
-        assert report.accepted > 0
+        tuner, _, _ = _anneal(11, max_evaluations=25)
+        assert tuner.accepted > 0
 
     def test_deterministic_given_seed(self):
         thetas = []
         for _ in range(2):
-            setup = build_experiment("wordcount", seed=12)
-            report = run_simulated_annealing(
-                setup.system, setup.scaler, max_evaluations=6, seed=12
-            )
-            thetas.append([e.theta for e in report.evaluations])
+            _, report, _ = _anneal(12, max_evaluations=6)
+            thetas.append([e.theta for e in report.evaluated])
         assert thetas[0] == thetas[1]
 
     @pytest.mark.parametrize("kwargs", [
@@ -51,9 +56,10 @@ class TestSimulatedAnnealing:
         {"neighbour_scale": 0.0},
     ])
     def test_invalid_params_rejected(self, kwargs):
-        setup = build_experiment("wordcount", seed=13)
+        options = dict(kwargs)
+        max_evaluations = options.pop("max_evaluations", 5)
         with pytest.raises(ValueError):
-            run_simulated_annealing(setup.system, setup.scaler, **kwargs)
+            _anneal(13, max_evaluations, **options)
 
 
 class TestNoStopUnderFailures:

@@ -7,23 +7,19 @@ Three defects, each of which failed before the fix:
    covering every stratum.
 2. ``BayesianOptimizer.tell`` raised on a non-finite objective, so one
    diverged probe aborted a whole run.
-3. ``best()``/``best_theta()`` broke exact-objective ties by first-seen
-   index, making the reported winner depend on evaluation order.
+3. The reported winner (``PauseRule.best_config``, which every
+   ``run_tuner`` report ranks by, and ``best_theta()``) broke
+   exact-objective ties by first-seen index, making it depend on
+   evaluation order.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines.bayesian import (
-    DIVERGENCE_PENALTY,
-    BayesianOptimizer,
-    BOEvaluation,
-    BOReport,
-)
-from repro.baselines.grid_search import GridSearchReport
-from repro.baselines.random_search import RandomSearchReport
+from repro.baselines.bayesian import BayesianOptimizer
 from repro.core.bounds import paper_configuration_space
-from repro.core.pause import EvaluatedConfig
+from repro.core.objective import DIVERGENCE_PENALTY
+from repro.core.pause import EvaluatedConfig, PauseRule
 from repro.obs import catalog
 from repro.obs.registry import MetricsRegistry
 
@@ -118,27 +114,30 @@ def _evaluated(theta, objective):
     )
 
 
+def _winner(evaluations):
+    rule = PauseRule()
+    for e in evaluations:
+        rule.record(e)
+    return rule.best_config().theta
+
+
 def test_grid_report_tie_breaks_lexicographically():
-    report = GridSearchReport()
-    report.evaluations = [
+    evaluations = [
         _evaluated((9.0, 3.0), 4.0),
         _evaluated((2.0, 8.0), 4.0),
         _evaluated((2.0, 5.0), 4.0),
     ]
-    assert report.best().theta == (2.0, 5.0)
-    report.evaluations.reverse()
-    assert report.best().theta == (2.0, 5.0)
+    assert _winner(evaluations) == (2.0, 5.0)
+    assert _winner(reversed(evaluations)) == (2.0, 5.0)
 
 
 def test_random_report_tie_breaks_lexicographically():
-    report = RandomSearchReport()
-    report.evaluations = [
+    evaluations = [
         _evaluated((7.0, 7.0), 3.0),
         _evaluated((1.0, 9.0), 3.0),
     ]
-    assert report.best().theta == (1.0, 9.0)
-    report.evaluations.reverse()
-    assert report.best().theta == (1.0, 9.0)
+    assert _winner(evaluations) == (1.0, 9.0)
+    assert _winner(reversed(evaluations)) == (1.0, 9.0)
 
 
 def test_sort_key_orders_equal_objectives_by_theta():
@@ -149,17 +148,13 @@ def test_sort_key_orders_equal_objectives_by_theta():
 
 
 def test_bo_report_and_best_theta_tie_break():
-    report = BOReport()
-    for i, theta in enumerate([(6.0, 2.0), (3.0, 4.0), (3.0, 1.0)]):
-        report.evaluations.append(BOEvaluation(
-            index=i + 1, theta=np.asarray(theta), objective=1.5,
-            end_to_end_delay=8.0, sim_time=float(i),
-        ))
-    assert tuple(report.best().theta) == (3.0, 1.0)
+    thetas = [(6.0, 2.0), (3.0, 4.0), (3.0, 1.0)]
+    evaluations = [_evaluated(theta, 1.5) for theta in thetas]
+    assert _winner(evaluations) == (3.0, 1.0)
+    assert _winner(reversed(evaluations)) == (3.0, 1.0)
 
     box = _box()
     bo = BayesianOptimizer(box, seed=0, init_points=2)
-    bo.tell(np.array([6.0, 2.0]), 1.5)
-    bo.tell(np.array([3.0, 4.0]), 1.5)
-    bo.tell(np.array([3.0, 1.0]), 1.5)
+    for theta in thetas:
+        bo.tell(np.array(theta), 1.5)
     np.testing.assert_array_equal(bo.best_theta(), np.array([3.0, 1.0]))

@@ -1,13 +1,43 @@
-"""Tests for the BO / random-search / grid-search baselines."""
+"""Tests for the BO / random-search / grid-search baselines.
+
+The live-system classes drive each registered tuner through the shared
+``run_tuner`` loop, with ``confirm_best`` where a final optimum is
+reported.
+"""
 
 import numpy as np
 import pytest
 
-from repro.baselines.bayesian import BayesianOptimizer, run_bayesian_optimization
-from repro.baselines.grid_search import grid_points, run_grid_search
-from repro.baselines.random_search import run_random_search
+from repro.baselines.bayesian import BayesianOptimizer
+from repro.baselines.grid_search import grid_points
+from repro.core.adjust import AdjustFunction, confirm_best
 from repro.core.bounds import Box
+from repro.core.metrics_collector import MetricsCollector
+from repro.core.objective import DIVERGENCE_PENALTY
+from repro.core.pause import PauseRule
 from repro.experiments.common import build_experiment
+from repro.tuners import make_tuner, run_tuner
+
+
+def _run(name, seed, max_evaluations, confirm=False, **options):
+    """One baseline run on wordcount; returns (setup, report, rule)."""
+    setup = build_experiment("wordcount", seed=seed)
+    rule, collector = PauseRule(), MetricsCollector()
+    report = run_tuner(
+        make_tuner(name, setup.scaler, seed=seed, **options),
+        setup.system,
+        setup.scaler,
+        max_evaluations=max_evaluations,
+        pause_rule=rule,
+        collector=collector,
+    )
+    if confirm:
+        confirm_best(
+            rule,
+            AdjustFunction(setup.system, setup.scaler, collector),
+            report.evaluations,
+        )
+    return setup, report, rule
 
 
 class TestBayesianOptimizerSynthetic:
@@ -41,7 +71,7 @@ class TestBayesianOptimizerSynthetic:
         opt = BayesianOptimizer(Box([0.0], [1.0]), seed=0)
         opt.tell([0.5], float("inf"))
         assert opt.penalized == 1
-        assert opt._y[-1] == opt.divergence_penalty
+        assert opt._y[-1] == DIVERGENCE_PENALTY
 
     def test_best_theta_requires_observations(self):
         with pytest.raises(RuntimeError):
@@ -50,42 +80,34 @@ class TestBayesianOptimizerSynthetic:
 
 class TestBOAgainstLiveSystem:
     def test_run_reports_fig8_axes(self):
-        setup = build_experiment("wordcount", seed=2)
-        report = run_bayesian_optimization(
-            setup.system, setup.scaler, max_evaluations=15, seed=2
-        )
-        assert report.config_steps == len(report.evaluations) <= 15
+        setup, report, rule = _run("bo", seed=2, max_evaluations=15,
+                                   confirm=True)
+        assert report.evaluations == len(report.evaluated) <= 15
         assert report.search_time > 0
-        assert report.final_delay is not None
-        assert report.best().objective == min(e.objective for e in report.evaluations)
+        # The confirmation pass re-measured the winner.
+        best = rule.best_config()
+        assert rule.measurement_count(best.theta) >= 2
+        assert rule.evaluations > report.evaluations
+        assert best.stable
 
     def test_finds_reasonable_config(self):
-        setup = build_experiment("wordcount", seed=3)
-        report = run_bayesian_optimization(
-            setup.system, setup.scaler, max_evaluations=25, seed=3
-        )
+        _, _, rule = _run("bo", seed=3, max_evaluations=25, confirm=True)
         # Default config delay is >= 20 s; BO must do much better.
-        assert report.final_delay < 15.0
+        assert rule.best_config().end_to_end_delay < 15.0
 
 
 class TestRandomSearch:
     def test_explores_and_reports(self):
-        setup = build_experiment("wordcount", seed=4)
-        report = run_random_search(
-            setup.system, setup.scaler, max_evaluations=12, seed=4
-        )
-        assert len(report.evaluations) <= 12
-        assert report.best().objective <= report.evaluations[0].objective
+        _, report, rule = _run("random", seed=4, max_evaluations=12)
+        assert report.evaluations == len(report.evaluated) <= 12
+        assert rule.best_config().sort_key <= report.evaluated[0].sort_key
         assert report.search_time > 0
 
     def test_deterministic_given_seed(self):
         thetas = []
         for _ in range(2):
-            setup = build_experiment("wordcount", seed=5)
-            report = run_random_search(
-                setup.system, setup.scaler, max_evaluations=4, seed=5
-            )
-            thetas.append([e.theta for e in report.evaluations])
+            _, report, _ = _run("random", seed=5, max_evaluations=4)
+            thetas.append([e.theta for e in report.evaluated])
         assert thetas[0] == thetas[1]
 
 
@@ -99,16 +121,12 @@ class TestGridSearch:
 
     def test_exhaustive_cost_exceeds_spsa(self):
         # The §1 argument: grid search burns far more config changes.
-        setup = build_experiment("wordcount", seed=6)
-        report = run_grid_search(
-            setup.system, setup.scaler, points_per_axis=3
-        )
+        _, report, _ = _run("grid", seed=6, max_evaluations=30,
+                            points_per_axis=3)
         assert report.config_changes >= 8
-        assert len(report.evaluations) == 9
+        assert report.evaluations == 9
 
     def test_max_evaluations_truncates(self):
-        setup = build_experiment("wordcount", seed=7)
-        report = run_grid_search(
-            setup.system, setup.scaler, points_per_axis=4, max_evaluations=5
-        )
-        assert len(report.evaluations) == 5
+        _, report, _ = _run("grid", seed=7, max_evaluations=5,
+                            points_per_axis=4)
+        assert report.evaluations == 5

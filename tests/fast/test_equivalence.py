@@ -137,6 +137,16 @@ class TestExactTierRegression:
         assert res["batchesExecuted"] == 104
         assert res["simTime"] == 432.07199999999955
 
+    def test_bo_cell_bit_identical(self):
+        res = execute_cell(
+            "bo", {"workload": "wordcount", "seed": 2, "max_evaluations": 15}
+        )
+        assert res["finalDelay"] == 8.349972972512127
+        assert res["searchTime"] == 1423.6759999999986
+        assert res["configSteps"] == 15
+        assert res["converged"] is False
+        assert res["batchesExecuted"] == 176
+
     def test_explicit_exact_fidelity_matches_default(self):
         base = execute_cell(
             "fixed_config",

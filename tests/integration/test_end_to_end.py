@@ -1,13 +1,15 @@
 """End-to-end integration tests across all subsystems."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.backpressure import run_backpressure
-from repro.baselines.bayesian import run_bayesian_optimization
 from repro.baselines.fixed import DEFAULT_CONFIGURATION, run_fixed_configuration
+from repro.core.adjust import AdjustFunction, confirm_best
+from repro.core.metrics_collector import MetricsCollector
+from repro.core.pause import PauseRule
 from repro.experiments.common import build_experiment, make_controller
 from repro.streaming.listener import StreamingListener
+from repro.tuners import make_tuner, run_tuner
 
 
 class TestFullStackNoStop:
@@ -88,7 +90,16 @@ class TestOptimizerShootout:
         nostop_delay = c1.pause_rule.best_config().end_to_end_delay
         # BO
         s2 = build_experiment("linear_regression", seed=seed)
-        r2 = run_bayesian_optimization(s2.system, s2.scaler, max_evaluations=40, seed=seed)
+        rule, collector = PauseRule(), MetricsCollector()
+        r2 = run_tuner(
+            make_tuner("bo", s2.scaler, seed=seed), s2.system, s2.scaler,
+            max_evaluations=40, pause_rule=rule, collector=collector,
+        )
+        confirm_best(
+            rule, AdjustFunction(s2.system, s2.scaler, collector),
+            r2.evaluations,
+        )
+        bo_delay = rule.best_config().end_to_end_delay
         # Back pressure at the default config
         s3 = build_experiment(
             "linear_regression", seed=seed,
@@ -98,7 +109,7 @@ class TestOptimizerShootout:
         bp = run_backpressure(s3.context, batches=30, warmup=4)
 
         assert nostop_delay < bp.mean_end_to_end_delay
-        assert r2.final_delay < bp.mean_end_to_end_delay
+        assert bo_delay < bp.mean_end_to_end_delay
         # Comparable final results (paper §6.4): within 2x of each other.
-        ratio = nostop_delay / r2.final_delay
+        ratio = nostop_delay / bo_delay
         assert 0.4 < ratio < 2.5

@@ -18,7 +18,7 @@ from repro.tuners import (
     tournament_space,
     tuner_names,
 )
-from repro.tuners.base import DIVERGENCE_PENALTY
+from repro.core.objective import DIVERGENCE_PENALTY
 
 ALL_TUNERS = tuner_names()
 
