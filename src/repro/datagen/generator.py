@@ -42,10 +42,11 @@ class DataGenerator:
         Producer tick in seconds.
     count_only:
         Enable the count-only fast path: arrivals are materialized one
-        segment per constant-rate span rather than one per tick.  Use for
-        cost-model-driven runs that never execute workload kernels (the
-        sweep runner enables it for its cells); payload synthesis via
-        :meth:`sample_payloads` keeps working either way.
+        segment per constant-rate span rather than one per tick.  Off by
+        default, the sweep runner's cells included (a cell's
+        ``count_only`` parameter or the CLI's ``--count-only`` opts in);
+        payload synthesis via :meth:`sample_payloads` keeps working
+        either way.
     """
 
     PAYLOAD_KINDS = ("labeled_points", "regression_points", "text", "nginx_logs")

@@ -22,6 +22,11 @@ from typing import Sequence, Tuple
 import numpy as np
 
 
+#: Sub-step of the midpoint rule that integrates traces without a
+#: closed form.
+_MIDPOINT_STEP = 0.25
+
+
 class RateTrace(abc.ABC):
     """A records-per-second arrival rate as a function of time."""
 
@@ -29,22 +34,66 @@ class RateTrace(abc.ABC):
     def rate(self, t: float) -> float:
         """Instantaneous arrival rate at simulation time ``t`` (>= 0)."""
 
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        """:meth:`rate` at every point of ``ts``, in the shape of ``ts``.
+
+        The default calls :meth:`rate` per point.  Subclasses override it
+        only where array arithmetic provably equals the scalar rate, so
+        both views of a trace agree under float ``==``.
+        """
+        ts = np.asarray(ts, dtype=float)
+        return np.array([self.rate(t) for t in ts.ravel().tolist()]).reshape(
+            ts.shape
+        )
+
     def records_between(self, t0: float, t1: float) -> int:
         """Number of records arriving in ``[t0, t1)``.
 
-        Default implementation integrates the (piecewise-constant) rate at
-        a fine step; subclasses with closed forms override this.
+        The one-row case of :meth:`records_between_many`.  Traces with a
+        closed form override this instead, and their blocks apply it row
+        by row.
         """
-        if t1 < t0:
-            raise ValueError(f"t1 ({t1}) must be >= t0 ({t0})")
-        if t1 == t0:
-            return 0
-        step = 0.25
-        n = max(1, int(math.ceil((t1 - t0) / step)))
-        edges = np.linspace(t0, t1, n + 1)
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        rates = np.array([self.rate(float(m)) for m in mids])
-        return int(round(float(np.sum(rates * np.diff(edges)))))
+        return int(self.records_between_many([t0], [t1])[0])
+
+    def records_between_many(
+        self, t0s: Sequence[float], t1s: Sequence[float]
+    ) -> np.ndarray:
+        """Records arriving in each ``[t0s[i], t1s[i])``, as an int64 array.
+
+        Integrates the rate with the midpoint rule over ``n = max(1,
+        ceil((t1 - t0) / 0.25))`` equal sub-steps per row, in one array
+        pass per distinct ``n`` (rows of equal nominal span can differ in
+        ``n`` by rounding).  Every row gets exactly the arithmetic of a
+        1-D pass over that row alone: the edges are ``np.linspace``'s
+        ``i * ((t1 - t0) / n) + t0`` with the endpoint pinned to ``t1``,
+        the sum runs along the contiguous last axis (numpy's pairwise
+        sum, as for a 1-D array), and each row rounds on its own.
+        """
+        t0s = np.asarray(t0s, dtype=float)
+        t1s = np.asarray(t1s, dtype=float)
+        backwards = t1s < t0s
+        if backwards.any():
+            i = int(np.argmax(backwards))
+            raise ValueError(f"t1 ({t1s[i]}) must be >= t0 ({t0s[i]})")
+        out = np.zeros(t0s.shape, dtype=np.int64)
+        live = np.flatnonzero(t1s != t0s)
+        n = np.ceil((t1s[live] - t0s[live]) / _MIDPOINT_STEP)
+        if not np.isfinite(n).all():
+            math.ceil(n[~np.isfinite(n)][0])  # OverflowError / ValueError
+        n = np.maximum(n, 1.0).astype(np.int64)
+        counts = sorted(set(n.tolist()))
+        for k in counts:
+            rows = live if len(counts) == 1 else live[n == k]
+            t0 = t0s[rows, None]
+            t1 = t1s[rows, None]
+            edges = np.arange(k + 1, dtype=float) * ((t1 - t0) / k)
+            edges += t0
+            edges[:, -1:] = t1
+            mids = (edges[:, :-1] + edges[:, 1:]) / 2.0
+            widths = edges[:, 1:] - edges[:, :-1]
+            sums = np.add.reduce(self.rates(mids) * widths, axis=1)
+            out[rows] = [int(round(s)) for s in sums.tolist()]
+        return out
 
     def mean_rate(self, horizon: float) -> float:
         """Average rate over ``[0, horizon)``."""
@@ -64,8 +113,35 @@ class RateTrace(abc.ABC):
         return t
 
 
+class _ClosedFormRate(RateTrace):
+    """A trace whose :meth:`records_between` is a closed form.
+
+    A block applies that closed form row by row, so both calls run the
+    same arithmetic.
+    """
+
+    @abc.abstractmethod
+    def records_between(self, t0: float, t1: float) -> int:
+        """Closed-form number of records arriving in ``[t0, t1)``."""
+
+    def records_between_many(
+        self, t0s: Sequence[float], t1s: Sequence[float]
+    ) -> np.ndarray:
+        records_between = self.records_between
+        return np.array(
+            [
+                records_between(t0, t1)
+                for t0, t1 in zip(
+                    np.asarray(t0s, dtype=float).tolist(),
+                    np.asarray(t1s, dtype=float).tolist(),
+                )
+            ],
+            dtype=np.int64,
+        )
+
+
 @dataclass(frozen=True)
-class ConstantRate(RateTrace):
+class ConstantRate(_ClosedFormRate):
     """Fixed arrival rate — the unrealistic case prior work assumes."""
 
     value: float
@@ -76,6 +152,9 @@ class ConstantRate(RateTrace):
 
     def rate(self, t: float) -> float:
         return self.value
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(ts), self.value, dtype=float)
 
     def records_between(self, t0: float, t1: float) -> int:
         if t1 < t0:
@@ -96,7 +175,7 @@ _SEGMENT_MEMO: dict = {}
 _SEGMENT_MEMO_MAX = 1 << 20
 
 
-class UniformRandomRate(RateTrace):
+class UniformRandomRate(_ClosedFormRate):
     """Piecewise-constant rate resampled uniformly in ``[lo, hi]``.
 
     This is the paper's §6.2.2 generator: every ``hold`` seconds a new
@@ -186,6 +265,14 @@ class StepRate(RateTrace):
                 break
         return current
 
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        if not (ts >= 0).all():
+            # The scalar rule raises for t < 0 and maps nan to level 0.
+            return super().rates(ts)
+        levels = np.array(self.levels, dtype=float)
+        return levels[np.searchsorted(levels[:, 0], ts, side="right") - 1, 1]
+
     def constant_until(self, t: float) -> float:
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
@@ -239,6 +326,13 @@ class SpikeRate(RateTrace):
         for start, end, mult in self.spikes:
             if start <= t < end:
                 r *= mult
+        return r
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        r = self.base.rates(ts)
+        for start, end, mult in self.spikes:
+            r = np.where((start <= ts) & (ts < end), r * mult, r)
         return r
 
     def constant_until(self, t: float) -> float:

@@ -7,8 +7,9 @@ batch queue with oldest-first eviction, the real
 :class:`~repro.streaming.listener.StreamingListener` — but replaces the
 record/task substrates with closed forms:
 
-* records per batch come from the rate trace's integral
-  (``records_between``), not a simulated Kafka topic;
+* records per batch come from the rate trace's integral, one
+  ``records_between_many`` pass per prefetch block, not a simulated
+  Kafka topic;
 * the record-weighted mean arrival time is the interval midpoint (the
   uniform-arrival assumption the steady-state oracle encodes), so the
   delay identity ``e2e = interval/2 + sched + proc`` holds by
@@ -275,13 +276,9 @@ class FastStreamingContext:
     def _refill_prefetch(self, first_boundary: float) -> None:
         size = self._pf_size
         interval = self._interval
-        records_between = self.trace.records_between
         effective = self.workload.effective_records
-        t0 = first_boundary - interval
-        records = [
-            records_between(t0 + i * interval, t0 + (i + 1) * interval)
-            for i in range(size)
-        ]
+        edges = (first_boundary - interval) + np.arange(size + 1) * interval
+        records = self.trace.records_between_many(edges[:-1], edges[1:]).tolist()
         cost_records = [effective(r) for r in records]
         proc = self.engine.batch_proc_times(
             np.asarray(cost_records, dtype=np.int64)

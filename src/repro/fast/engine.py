@@ -89,8 +89,10 @@ class ExecutorProfile:
         self.uniform = bool(
             np.ptp(speed_arr) < 1e-12 and np.ptp(self.io_penalty) < 1e-12
         )
-        #: Static LPT assignments memoized per (io_fraction, partitions,
-        #: noise_sigma, dispatch) — see FastBatchEngine._assignment.
+        #: Static LPT assignments memoized per (io_fraction, partitions)
+        #: — see FastBatchEngine._assignment.  The noise sigma and task
+        #: dispatch the entries also depend on are fixed per engine, and
+        #: each engine builds its own profiles.
         self.assign_cache: dict = {}
 
     def core_factors(self, io_fraction: float) -> np.ndarray:

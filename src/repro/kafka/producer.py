@@ -47,8 +47,9 @@ class RateControlledProducer:
         #: tick.  Topic-wide totals follow the trace integral exactly; the
         #: tick-level quantization of the default path is skipped, so the
         #: two modes are each deterministic but not byte-identical to one
-        #: another.  Meant for cost-model-driven runs that never execute
-        #: workload kernels (the sweep runner's cells).
+        #: another.  Off by default, the sweep runner's cells included;
+        #: a cell's ``count_only`` parameter or the CLI's ``--count-only``
+        #: opts in for cost-model-driven runs.
         self.count_only = bool(count_only)
         self.surge = 1.0
         self._produced_until = 0.0

@@ -2,6 +2,8 @@
 oracles the exact DES does, and the exact tier must be bit-identical to
 the engine as it existed before the fast tier was added."""
 
+import hashlib
+
 import pytest
 
 from repro.check.oracles import run_oracles
@@ -15,6 +17,7 @@ from repro.datagen.rates import (
 from repro.experiments.common import build_experiment
 from repro.fast import check_fast_run
 from repro.runner.cells import execute_cell
+from repro.runner.spec import canonical_json
 
 WORKLOADS = sorted(PAPER_RATE_BANDS)
 
@@ -170,6 +173,43 @@ class TestExactTierRegression:
             },
         )
         assert base == explicit
+
+
+#: sha256(canonical_json(result))[:16] of vectorized tournament cells,
+#: recorded before the prefetch block integrated its arrivals in one
+#: array pass.  Any change to a cell's output changes its pin.
+TOURNAMENT_CELL_PINS = {
+    ("nostop", "step"): "52158eaeeb94a26e",
+    ("nostop", "spike"): "2552076ed44324ba",
+    ("nostop", "sine"): "b106e76aa7a3ede2",
+    ("bo", "step"): "8bf008b5226869dc",
+    ("bo", "spike"): "7a6280fa6192d7ea",
+    ("bo", "sine"): "971acf8744578a97",
+    ("safe-online", "step"): "0a7011d6e22711d5",
+    ("safe-online", "spike"): "7e09508b8634eb04",
+    ("safe-online", "sine"): "03d36468fde53c32",
+}
+
+
+class TestTournamentCellPins:
+    """Tournament cells on the vectorized tier stay byte-identical."""
+
+    @pytest.mark.parametrize("tuner,scenario", sorted(TOURNAMENT_CELL_PINS))
+    def test_cell_digest(self, tuner, scenario):
+        res = execute_cell(
+            "tournament",
+            {
+                "tuner": tuner,
+                "scenario": scenario,
+                "seed": 1000,
+                "workload": "wordcount",
+                "budget": 30,
+                "fidelity": "vectorized",
+                "slo_delay": 30.0,
+            },
+        )
+        digest = hashlib.sha256(canonical_json(res).encode()).hexdigest()
+        assert digest[:16] == TOURNAMENT_CELL_PINS[tuner, scenario]
 
 
 class TestDigestStability:
