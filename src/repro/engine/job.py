@@ -76,7 +76,10 @@ class BatchJob:
             raise ValueError("total_cores must be >= 1")
         bound = 0.0
         for s in self.stages:
-            per_iter = sum(t.compute_cost for t in s.tasks) / (total_cores * speed)
-            longest = max((t.compute_cost / speed for t in s.tasks), default=0.0)
+            per_iter = s.compute_cost_per_iteration / (total_cores * speed)
+            longest = max(
+                (compute_cost / speed for _, _, compute_cost, _ in s.runs),
+                default=0.0,
+            )
             bound += s.iterations * max(per_iter, longest)
         return bound

@@ -14,6 +14,16 @@ from dataclasses import dataclass, field
 from repro.cluster.executor import Executor
 
 
+def check_task_costs(records: int, compute_cost: float, io_cost: float) -> None:
+    """Raise :class:`ValueError` unless a task's costs are non-negative."""
+    if records < 0:
+        raise ValueError(f"records must be >= 0, got {records}")
+    if compute_cost < 0:
+        raise ValueError(f"compute_cost must be >= 0, got {compute_cost}")
+    if io_cost < 0:
+        raise ValueError(f"io_cost must be >= 0, got {io_cost}")
+
+
 @dataclass
 class TaskSpec:
     """Static description of a task before it is scheduled.
@@ -37,12 +47,7 @@ class TaskSpec:
     io_cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.records < 0:
-            raise ValueError(f"records must be >= 0, got {self.records}")
-        if self.compute_cost < 0:
-            raise ValueError(f"compute_cost must be >= 0, got {self.compute_cost}")
-        if self.io_cost < 0:
-            raise ValueError(f"io_cost must be >= 0, got {self.io_cost}")
+        check_task_costs(self.records, self.compute_cost, self.io_cost)
 
     def duration_on(
         self,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.obs.tracer import Tracer
 from .faults import NO_FAULTS, FaultModel
 from .job import BatchJob
 from .overhead import DEFAULT_OVERHEAD, OverheadModel
+from .stage import Stage
 from .task import TaskRun, TaskSpec
 
 
@@ -168,16 +169,6 @@ class TaskScheduler:
 
         for stage in job.stages:
             stage_start = clock
-            # LPT order: longest tasks first minimizes makespan for list
-            # scheduling and mirrors Spark's preference for large pending
-            # tasks.  The order is a pure function of the stage, so it is
-            # computed once here rather than once per iteration — iterated
-            # ML stages re-run the same task set dozens of times.
-            order = sorted(
-                [(t, t.compute_cost, t.io_cost) for t in stage.tasks],
-                key=lambda e: e[1] + e[2],
-                reverse=True,
-            )
             for iteration in range(stage.iterations):
                 # Driver-side serial costs per stage execution.
                 sched_start = clock
@@ -195,7 +186,7 @@ class TaskScheduler:
                         tasks=stage.num_tasks,
                     )
                 clock = self._run_task_set(
-                    order, slots, clock, rng, run,
+                    stage, slots, clock, rng, run,
                     tracer=tracer if traced else None,
                     exec_span=exec_span,
                 )
@@ -216,7 +207,7 @@ class TaskScheduler:
 
     def _run_task_set(
         self,
-        order: Sequence[Tuple[TaskSpec, float, float]],
+        stage: Stage,
         slots: List[tuple],
         barrier: float,
         rng: np.random.Generator,
@@ -224,21 +215,30 @@ class TaskScheduler:
         tracer: Optional[Tracer] = None,
         exec_span: Optional[Span] = None,
     ) -> float:
-        """Schedule one iteration of a stage's (LPT-ordered) tasks.
+        """Schedule one iteration of ``stage``'s tasks; return the new barrier.
 
-        ``order`` holds ``(spec, compute_cost, io_cost)`` entries already
-        in longest-processing-time-first order (the caller sorts once per
-        stage); returns the new barrier.  The inlined duration performs
-        exactly the float operations of :meth:`TaskSpec.duration_on`, so
-        makespans are bit-identical to it.
+        LPT order — longest tasks first — minimizes makespan for list
+        scheduling and mirrors Spark's preference for large pending
+        tasks.  The stage already holds its tasks as cost runs in that
+        order, so the loop walks the runs with no sort and no per-task
+        object.  The inlined duration performs exactly the float
+        operations of :meth:`TaskSpec.duration_on`, so makespans are
+        bit-identical to it.
+
+        Each dispatch replaces the heap's root in place
+        (``heapreplace``) instead of popping it and pushing the core
+        back.  The ``(free_at, seq, core)`` keys are unique among live
+        entries, so every pop returns the unique minimum and the pop
+        sequence depends only on the heap's contents, which both ways
+        leave equal.
         """
-        if not order:
+        num_tasks = stage.num_tasks
+        if not num_tasks:
             return barrier
-        noise = self.noise.draw(rng, len(order)).tolist()
+        noise = self.noise.draw(rng, num_tasks).tolist()
         finish_max = barrier
         seq = len(slots)
-        heappop = heapq.heappop
-        heappush = heapq.heappush
+        heapreplace = heapq.heapreplace
         task_dispatch = self.overhead.task_dispatch
         executor_startup = self.overhead.executor_startup
         faults = self.faults
@@ -248,60 +248,72 @@ class TaskScheduler:
         task_spans = (
             tracer is not None and tracer.task_detail and exec_span is not None
         )
-        for (spec, compute_cost, io_cost), noise_i in zip(order, noise):
-            attempts = 1
-            while True:
-                free_at, _, core, ex, speed, io_penalty = heappop(slots)
-                start = (barrier if barrier > free_at else free_at) + task_dispatch
-                duration = (compute_cost / speed + io_cost * io_penalty) * noise_i
-                charged = not ex.initialized
-                if charged:
-                    duration += executor_startup
-                    ex.mark_initialized()
-                if faults_active:
-                    if attempts < max_attempts and faults.attempt_fails(rng):
-                        # Transient failure: the core is busy for part of
-                        # the attempt, then the task re-queues on the
-                        # earliest slot.
-                        waste = duration * faults.waste_fraction(rng)
-                        heappush(
-                            slots,
-                            (start + waste, seq, core, ex, speed, io_penalty),
-                        )
-                        seq += 1
-                        run.task_failures += 1
-                        if exec_span is not None:
-                            exec_span.add_event(
-                                "task.retry", start + waste,
-                                executor=ex.executor_id, attempt=attempts,
+        task_ids = stage.task_ids
+        end = 0
+        for count, records, compute_cost, io_cost in stage.runs:
+            begin = end
+            end += count
+            for i, noise_i in enumerate(noise[begin:end], begin):
+                attempts = 1
+                while True:
+                    free_at, _, core, ex, speed, io_penalty = slots[0]
+                    start = (
+                        barrier if barrier > free_at else free_at
+                    ) + task_dispatch
+                    duration = (
+                        compute_cost / speed + io_cost * io_penalty
+                    ) * noise_i
+                    charged = not ex.initialized
+                    if charged:
+                        duration += executor_startup
+                        ex.mark_initialized()
+                    if faults_active:
+                        if attempts < max_attempts and faults.attempt_fails(rng):
+                            # Transient failure: the core is busy for part
+                            # of the attempt, then the task re-queues on
+                            # the earliest slot.
+                            waste = duration * faults.waste_fraction(rng)
+                            heapreplace(
+                                slots,
+                                (start + waste, seq, core, ex, speed, io_penalty),
                             )
-                        attempts += 1
-                        continue
-                    if attempts == max_attempts:
-                        # The final allowed attempt always succeeds here; a
-                        # real system would abort the job at this point.
-                        run.exhausted_retries += 1
-                finish = start + duration
-                if finish > finish_max:
-                    finish_max = finish
-                heappush(slots, (finish, seq, core, ex, speed, io_penalty))
-                seq += 1
-                if task_spans:
-                    tspan = tracer.start_span(
-                        "task", exec_span, start,
-                        executor=ex.executor_id, attempts=attempts,
-                    )
-                    tspan.finish(finish)
-                if record_tasks:
-                    run.task_runs.append(
-                        TaskRun(
-                            spec=spec,
-                            executor_id=ex.executor_id,
-                            start=start,
-                            finish=finish,
-                            startup_charged=charged,
+                            seq += 1
+                            run.task_failures += 1
+                            if exec_span is not None:
+                                exec_span.add_event(
+                                    "task.retry", start + waste,
+                                    executor=ex.executor_id, attempt=attempts,
+                                )
+                            attempts += 1
+                            continue
+                        if attempts == max_attempts:
+                            # The final allowed attempt always succeeds
+                            # here; a real system would abort the job at
+                            # this point.
+                            run.exhausted_retries += 1
+                    finish = start + duration
+                    if finish > finish_max:
+                        finish_max = finish
+                    heapreplace(slots, (finish, seq, core, ex, speed, io_penalty))
+                    seq += 1
+                    if task_spans:
+                        tspan = tracer.start_span(
+                            "task", exec_span, start,
+                            executor=ex.executor_id, attempts=attempts,
                         )
-                    )
-                break
+                        tspan.finish(finish)
+                    if record_tasks:
+                        run.task_runs.append(
+                            TaskRun(
+                                spec=TaskSpec(
+                                    task_ids[i], records, compute_cost, io_cost
+                                ),
+                                executor_id=ex.executor_id,
+                                start=start,
+                                finish=finish,
+                                startup_charged=charged,
+                            )
+                        )
+                    break
         # Barrier: next stage iteration starts when the slowest task ends.
         return finish_max

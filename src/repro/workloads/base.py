@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.engine.job import BatchJob
 from repro.engine.stage import Stage
-from repro.engine.task import TaskSpec
 
 from .cost_models import WorkloadCostModel
 
@@ -78,27 +77,20 @@ class Workload(abc.ABC):
         iterated = self.cost_model.iterated_stages
         stages: List[Stage] = []
         for sid, sc in enumerate(self.cost_model.stages):
-            # A stage's tasks carry one of two (records, compute, io)
-            # costs — the first ``rem`` tasks take one extra record — so
-            # each is computed once per stage, not once per task.
+            # The first ``rem`` tasks take one extra record, so a stage is
+            # two cost runs, big tasks first (LPT order), and each run's
+            # (records, compute, io) cost is computed once.
             fixed = sc.fixed_compute / partitions
-            small = (
-                per_task,
-                fixed + per_task * sc.compute_per_record,
-                per_task * sc.io_per_record,
-            )
             n = per_task + 1
-            big = (n, fixed + n * sc.compute_per_record, n * sc.io_per_record)
-            tasks = [
-                TaskSpec(tid, *(big if tid < rem else small))
-                for tid in range(partitions)
-            ]
+            big = (rem, n, fixed + n * sc.compute_per_record,
+                   n * sc.io_per_record)
+            small = (partitions - rem, per_task,
+                     fixed + per_task * sc.compute_per_record,
+                     per_task * sc.io_per_record)
             stages.append(
-                Stage(
-                    stage_id=sid,
-                    name=sc.name,
-                    tasks=tasks,
-                    iterations=iters if sc.name in iterated else 1,
+                Stage.from_runs(
+                    sid, sc.name, (big, small),
+                    iters if sc.name in iterated else 1,
                 )
             )
         job = BatchJob(

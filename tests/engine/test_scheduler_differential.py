@@ -1,14 +1,18 @@
 """Differential test: the task scheduler against a reference heap LPT loop.
 
 The oracle below is the straightforward list scheduler: one
-``(free_at, seq, core, executor)`` heap entry per core, durations from
+``(free_at, seq, core, executor)`` heap entry per core, a stable LPT sort
+of each stage's plain ``TaskSpec`` list, durations from
 :meth:`TaskSpec.duration_on`, executor properties read on every attempt.
-:meth:`TaskScheduler.run_job` must reproduce it exactly — every
-``JobRun`` field, every span, and the RNG state it leaves behind.
+:meth:`TaskScheduler.run_job`, which walks a stage's cost runs, must
+reproduce it exactly — every ``JobRun`` field, every span, and the RNG
+state it leaves behind.  :func:`reference_build_job` is the job factory
+with one ``TaskSpec`` per task, the oracle for
+:meth:`Workload.build_job`.
 """
 
-import functools
 import heapq
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,11 +27,43 @@ from repro.engine.stage import Stage
 from repro.engine.task import TaskRun, TaskSpec
 from repro.engine.task_scheduler import JobRun, NoiseModel, StageRun, TaskScheduler
 from repro.obs.tracer import Tracer
+from repro.workloads import WORKLOADS, make_workload
+
+
+def plain_stage(stage_id, name, tasks, iterations):
+    """A stage as the reference reads it: a plain list of ``TaskSpec``."""
+    return SimpleNamespace(stage_id=stage_id, name=name, tasks=tasks,
+                           iterations=iterations)
+
+
+def reference_build_job(workload, job_id, records, rng):
+    """:meth:`Workload.build_job` with one ``TaskSpec`` per task.
+
+    Returns the reference's view of the job (``job_id`` and plain
+    stages); it draws the iteration count and advances a windowed
+    workload's window exactly as ``build_job`` does.
+    """
+    cost_records = workload.effective_records(records)
+    iters = workload.cost_model.iterations.draw(rng)
+    partitions = workload.partitions
+    per_task, rem = divmod(cost_records, partitions)
+    stages = []
+    for sid, sc in enumerate(workload.cost_model.stages):
+        fixed = sc.fixed_compute / partitions
+        tasks = []
+        for tid in range(partitions):
+            n = per_task + 1 if tid < rem else per_task
+            tasks.append(TaskSpec(tid, n, fixed + n * sc.compute_per_record,
+                                  n * sc.io_per_record))
+        iterated = sc.name in workload.cost_model.iterated_stages
+        stages.append(plain_stage(sid, sc.name, tasks,
+                                  iters if iterated else 1))
+    return SimpleNamespace(job_id=job_id, stages=stages)
 
 
 def reference_run_job(sched, job, executors, start_time, rng, tracer=None,
                       parent=None):
-    """Reference :meth:`TaskScheduler.run_job`."""
+    """Reference :meth:`TaskScheduler.run_job` over plain task lists."""
     traced = tracer is not None and tracer.enabled and parent is not None
     run = JobRun(job_id=job.job_id, start=start_time, finish=start_time,
                  executors_used=len(executors))
@@ -55,7 +91,7 @@ def reference_run_job(sched, job, executors, start_time, rng, tracer=None,
                                   iteration=iteration).finish(clock)
                 exec_span = tracer.start_span(
                     "execute", parent, clock, stage=stage.stage_id,
-                    iteration=iteration, tasks=stage.num_tasks,
+                    iteration=iteration, tasks=len(stage.tasks),
                 )
             clock = reference_task_set(sched, order, slots, clock, rng, run,
                                        tracer if traced else None, exec_span)
@@ -63,7 +99,7 @@ def reference_run_job(sched, job, executors, start_time, rng, tracer=None,
                 exec_span.finish(clock)
         run.stage_runs.append(StageRun(
             stage_id=stage.stage_id, name=stage.name, start=stage_start,
-            finish=clock, num_tasks=stage.num_tasks,
+            finish=clock, num_tasks=len(stage.tasks),
             iterations=stage.iterations,
         ))
     run.finish = clock
@@ -172,18 +208,88 @@ def build_executors(specs):
     return out
 
 
-def build_job(specs):
-    return BatchJob(
+def build_jobs(specs):
+    """The job as ``run_job`` takes it and as the reference takes it.
+
+    Both are built from the same unsorted task lists: the ``Stage``
+    constructor sorts its copy into cost runs, the reference sorts the
+    plain list itself.
+    """
+    tasks = [[TaskSpec(tid, r, c, io) for tid, (r, c, io) in enumerate(ts)]
+             for ts, _ in specs]
+    job = BatchJob(
         job_id=3,
         batch_time=10.0,
-        records=sum(r for tasks, _ in specs for r, _, _ in tasks),
+        records=sum(r for ts, _ in specs for r, _, _ in ts),
         stages=[
             Stage(stage_id=sid, name=f"s{sid}", iterations=iterations,
-                  tasks=[TaskSpec(tid, r, c, io)
-                         for tid, (r, c, io) in enumerate(tasks)])
-            for sid, (tasks, iterations) in enumerate(specs)
+                  tasks=tasks[sid])
+            for sid, (_, iterations) in enumerate(specs)
         ],
     )
+    plain = SimpleNamespace(job_id=3, stages=[
+        plain_stage(sid, f"s{sid}", tasks[sid], iterations)
+        for sid, (_, iterations) in enumerate(specs)
+    ])
+    return job, plain
+
+
+def run_both(sched, jobs, executors, tracing, seed):
+    """Run ``jobs`` back to back through ``run_job`` and the reference.
+
+    ``jobs`` holds ``(job, plain)`` pairs; each side gets fresh
+    executors and its own generator.  Returns one outcome per side: the
+    ``JobRun``s, the RNG state left behind, the executors'
+    initialization flags and every span.
+    """
+    outcomes = []
+    for side in (0, 1):
+        tracer = parent = None
+        if tracing != "off":
+            tracer = Tracer(task_detail=tracing == "task_detail")
+            parent = tracer.start_trace("batch", "batch-000003", 10.0)
+        exs = build_executors(executors)
+        rng = np.random.default_rng(seed)
+        runs = []
+        clock = 12.5
+        for pair in jobs:
+            if side == 0:
+                run = sched.run_job(pair[0], exs, clock, rng, tracer=tracer,
+                                    parent=parent)
+            else:
+                run = reference_run_job(sched, pair[1], exs, clock, rng,
+                                        tracer=tracer, parent=parent)
+            runs.append(run)
+            clock = run.finish
+        outcomes.append((
+            runs,
+            rng.bit_generator.state,
+            [ex.initialized for ex in exs],
+            [s.to_dict() for s in tracer.spans] if tracer else None,
+        ))
+    return outcomes
+
+
+FAULTS = st.sampled_from([
+    NO_FAULTS,
+    FaultModel(task_failure_prob=0.3),
+    FaultModel(task_failure_prob=0.5, max_attempts=2),
+    FaultModel(task_failure_prob=0.2, max_attempts=1),
+])
+
+
+@st.composite
+def batch_records(draw, partitions):
+    """A batch size in one of the four shapes an even split can take."""
+    shape = draw(st.sampled_from(["zero", "fewer", "multiple", "remainder"]))
+    if shape == "zero":
+        return 0
+    if shape == "fewer":
+        return draw(st.integers(0, partitions - 1))
+    whole = partitions * draw(st.integers(1, 400))
+    if shape == "multiple" or partitions == 1:
+        return whole
+    return whole + draw(st.integers(1, partitions - 1))
 
 
 class TestSchedulerMatchesReference:
@@ -192,12 +298,7 @@ class TestSchedulerMatchesReference:
         stages=stage_specs,
         sigma=st.sampled_from([0.05, 0.1, 0.3]),
         overhead=st.sampled_from([DEFAULT_OVERHEAD, ZERO_OVERHEAD]),
-        faults=st.sampled_from([
-            NO_FAULTS,
-            FaultModel(task_failure_prob=0.3),
-            FaultModel(task_failure_prob=0.5, max_attempts=2),
-            FaultModel(task_failure_prob=0.2, max_attempts=1),
-        ]),
+        faults=FAULTS,
         record_tasks=st.booleans(),
         tracing=st.sampled_from(["off", "spans", "task_detail"]),
         seed=st.integers(0, 2**32 - 1),
@@ -209,24 +310,48 @@ class TestSchedulerMatchesReference:
     ):
         sched = TaskScheduler(overhead=overhead, noise=NoiseModel(sigma=sigma),
                               record_tasks=record_tasks, faults=faults)
-        outcomes = []
-        for runner in (sched.run_job, functools.partial(reference_run_job, sched)):
-            tracer = parent = None
-            if tracing != "off":
-                tracer = Tracer(task_detail=tracing == "task_detail")
-                parent = tracer.start_trace("batch", "batch-000003", 10.0)
-            exs = build_executors(executors)
-            rng = np.random.default_rng(seed)
-            run = runner(build_job(stages), exs, 12.5, rng, tracer=tracer,
-                         parent=parent)
-            outcomes.append((
-                run,
-                rng.bit_generator.state,
-                [ex.initialized for ex in exs],
-                [s.to_dict() for s in tracer.spans] if tracer else None,
-            ))
+        outcomes = run_both(sched, [build_jobs(stages)], executors, tracing,
+                            seed)
         # JobRun equality covers every field: times, stage runs, task
-        # runs and the failure counts.
+        # runs (specs and task ids included) and the failure counts.
+        assert outcomes[0] == outcomes[1]
+
+    @given(
+        name=st.sampled_from(sorted(WORKLOADS)),
+        data=st.data(),
+        executors=executor_specs,
+        sigma=st.sampled_from([0.0, 0.1, 0.3]),
+        faults=FAULTS,
+        record_tasks=st.booleans(),
+        tracing=st.sampled_from(["off", "spans", "task_detail"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_workload_jobs_identical(
+        self, name, data, executors, sigma, faults, record_tasks, tracing,
+        seed,
+    ):
+        """``build_job`` stages, windowed workloads included, at record
+        counts of zero, fewer than ``partitions``, an exact multiple of
+        it and a multiple plus a remainder."""
+        partitions = data.draw(st.integers(1, 12), label="partitions")
+        batches = data.draw(
+            st.lists(batch_records(partitions), min_size=1, max_size=3),
+            label="records",
+        )
+        sched = TaskScheduler(noise=NoiseModel(sigma=sigma),
+                              record_tasks=record_tasks, faults=faults)
+        workload = make_workload(name, partitions=partitions)
+        oracle = make_workload(name, partitions=partitions)
+        build_rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        jobs = []
+        for i, records in enumerate(batches):
+            job = workload.build_job(float(i), records, build_rng)
+            jobs.append((job, reference_build_job(oracle, job.job_id,
+                                                  records, oracle_rng)))
+        assert build_rng.bit_generator.state == oracle_rng.bit_generator.state
+        outcomes = run_both(sched, jobs, executors, tracing, seed)
         assert outcomes[0] == outcomes[1]
 
     def test_faulty_run_exercises_retries(self):
@@ -235,9 +360,10 @@ class TestSchedulerMatchesReference:
         sched = TaskScheduler(noise=NoiseModel(sigma=0.1),
                               faults=FaultModel(task_failure_prob=0.5),
                               record_tasks=True)
-        job = build_job([([(10, 1.0, 0.5)] * 16, 2)])
+        job, plain = build_jobs([([(10, 1.0, 0.5)] * 16, 2)])
         ref = reference_run_job(
-            sched, job, build_executors([(0, DiskType.HDD, 2, False, 1.5)] * 3),
+            sched, plain,
+            build_executors([(0, DiskType.HDD, 2, False, 1.5)] * 3),
             0.0, np.random.default_rng(7))
         run = sched.run_job(
             job, build_executors([(0, DiskType.HDD, 2, False, 1.5)] * 3),

@@ -199,7 +199,12 @@ class TestChaosJoin:
 
 
 class TestDisabledPath:
-    def test_default_run_emits_nothing(self):
+    def test_default_run_emits_nothing(self, monkeypatch):
+        # The default path is the one with telemetry left off: clear the
+        # variables that force it on, so the premise holds under a
+        # whole-suite REPRO_TRACE=1 run too.
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.delenv("REPRO_FORCE_TRACE", raising=False)
         setup = build_experiment("wordcount", seed=0)
         controller = make_controller(setup, seed=0)
         controller.run(3)

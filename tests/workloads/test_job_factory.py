@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.workloads import make_workload
+from repro.engine.stage import Stage
+from repro.workloads import WORKLOADS, make_workload
 from repro.workloads.base import records_per_task
 from repro.workloads.logistic_regression import StreamingLogisticRegression
 from repro.workloads.wordcount import WordCount
+from tests.engine.test_scheduler_differential import reference_build_job
 
 
 @pytest.fixture
@@ -94,3 +96,42 @@ class TestBuildJob:
     def test_expected_cost_positive(self, name):
         wl = make_workload(name)
         assert wl.expected_cost_per_record() > 0
+
+
+class TestStagesAsCostRuns:
+    """``build_job`` stores each stage as cost runs; read through the
+    ``tasks`` view they are the per-task specs of the one-object-per-task
+    factory, and the aggregates are its per-task sums, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("records", [0, 5, 91, 7 * 13, 7 * 13 + 4, 1003])
+    def test_view_matches_per_task_specs(self, name, records):
+        workload = make_workload(name, partitions=7)
+        oracle = make_workload(name, partitions=7)
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for batch in range(3):  # windowed workloads carry state across jobs
+            job = workload.build_job(float(batch), records + batch, rng)
+            ref = reference_build_job(oracle, job.job_id, records + batch,
+                                      oracle_rng)
+            for stage, plain in zip(job.stages, ref.stages, strict=True):
+                tasks = plain.tasks
+                assert isinstance(stage, Stage)
+                assert (stage.stage_id, stage.name, stage.iterations) == (
+                    plain.stage_id, plain.name, plain.iterations)
+                assert len(stage.tasks) == stage.num_tasks == len(tasks)
+                assert len(stage.runs) <= 2
+                assert [stage.tasks[i] for i in range(len(tasks))] == tasks
+                assert list(stage.tasks) == tasks
+                assert stage.total_records == sum(t.records for t in tasks)
+                assert stage.total_compute_cost == stage.iterations * sum(
+                    t.compute_cost for t in tasks)
+                assert stage.total_io_cost == stage.iterations * sum(
+                    t.io_cost for t in tasks)
+            assert job.num_tasks == sum(
+                len(s.tasks) * s.iterations for s in ref.stages)
+            bound = 0.0
+            for s in ref.stages:
+                per_iter = sum(t.compute_cost for t in s.tasks) / (58 * 1.0)
+                longest = max(t.compute_cost for t in s.tasks)
+                bound += s.iterations * max(per_iter, longest)
+            assert job.critical_path_lower_bound(58) == bound
