@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.datagen.rates import ConstantRate, UniformRandomRate
+from repro.datagen.rates import ConstantRate
 from repro.experiments.fig7_improvement import fig7_optimize_spec
 from repro.kafka.producer import RateControlledProducer
 from repro.kafka.topic import Topic
@@ -36,6 +36,11 @@ REPEATS = 2 if SMOKE else 3
 ROUNDS = 6 if SMOKE else 12
 SWEEP_WORKERS = 4
 
+#: Calibrated host-time budgets for 600 LR batches (test_fast_tier_speedup).
+VECTORIZED_BUDGET_S = 0.016
+EXACT_BUDGET_S = 0.20
+TIMED_REPEATS = 3
+
 
 def _timed(fn):
     t0 = time.perf_counter()
@@ -49,32 +54,24 @@ def _dumps(results):
 
 class TestSweepRunner:
     def test_fig7_sweep_speedup_and_determinism(self, tmp_path, bench_record):
-        spec_fast = fig7_optimize_spec(
-            WORKLOAD, repeats=REPEATS, rounds=ROUNDS, count_only=True
-        )
-        spec_full = fig7_optimize_spec(
-            WORKLOAD, repeats=REPEATS, rounds=ROUNDS, count_only=False
-        )
-        # Historical protocol: sequential, full datagen, no cache.
+        spec = fig7_optimize_spec(WORKLOAD, repeats=REPEATS, rounds=ROUNDS)
+        # Historical protocol and reference for the parallel run:
+        # sequential, no cache.
         base_runner = SweepRunner(workers=1)
-        base, t_base = _timed(lambda: base_runner.run(spec_full))
+        seq, t_base = _timed(lambda: base_runner.run(spec))
 
-        # Reference for the parallel run: same cells, one process.
-        seq_runner = SweepRunner(workers=1)
-        seq, t_seq = _timed(lambda: seq_runner.run(spec_fast))
-
-        # The optimized path: 4 workers, count-only datagen, cold cache.
+        # The optimized path: 4 workers, cold cache.
         cache = ResultCache(tmp_path)
         par_runner = SweepRunner(workers=SWEEP_WORKERS, cache=cache)
-        par, t_par = _timed(lambda: par_runner.run(spec_fast))
+        par, t_par = _timed(lambda: par_runner.run(spec))
 
         # Determinism gate: parallel == sequential, byte for byte.
         assert _dumps(par.results) == _dumps(seq.results)
-        assert par_runner.totals.executed == len(spec_fast)
+        assert par_runner.totals.executed == len(spec)
 
         # Warm-cache rerun: zero cells executed, zero batches simulated.
         hot_runner = SweepRunner(workers=SWEEP_WORKERS, cache=cache)
-        hot, t_hot = _timed(lambda: hot_runner.run(spec_fast))
+        hot, t_hot = _timed(lambda: hot_runner.run(spec))
         assert hot_runner.totals.executed == 0
         assert hot_runner.totals.batches_executed == 0
         assert _dumps(hot.results) == _dumps(seq.results)
@@ -84,9 +81,8 @@ class TestSweepRunner:
         bench_record(
             workers=SWEEP_WORKERS,
             cpus=os.cpu_count() or 1,
-            cells=len(spec_fast),
+            cells=len(spec),
             baselineSeconds=round(t_base, 3),
-            sequentialFastSeconds=round(t_seq, 3),
             parallelSeconds=round(t_par, 3),
             cachedSeconds=round(t_hot, 3),
             parallelSpeedup=round(parallel_speedup, 2),
@@ -96,7 +92,7 @@ class TestSweepRunner:
             bitIdentical=True,
         )
         emit(
-            f"fig7 sweep ({len(spec_fast)} cells, {os.cpu_count()} cpus): "
+            f"fig7 sweep ({len(spec)} cells, {os.cpu_count()} cpus): "
             f"baseline {t_base:.2f}s | {SWEEP_WORKERS}-worker cold "
             f"{t_par:.2f}s ({parallel_speedup:.1f}x) | warm cache "
             f"{t_hot:.3f}s ({cached_speedup:.1f}x)"
@@ -197,56 +193,34 @@ class TestHotPaths:
             f"coalescing: {appends} appends -> {segments} segments "
             f"({compression:.0f}x); {queries} log queries in {t_q:.3f}s"
         )
-        # Constant-rate per-tick production must collapse to one segment
-        # per partition — the query paths scan segments linearly.
+        # A constant rate is one span: one segment per partition, however
+        # long the horizon — the query paths scan segments linearly.
         assert segments == len(topic.partitions)
 
-    def test_count_only_datagen_fast_path(self, bench_record):
-        horizon = 600.0 if SMOKE else 3600.0
-        trace = UniformRandomRate(7_000, 13_000, hold=10.0, seed=11)
-
-        slow_topic = Topic("bench", 5)
-        slow = RateControlledProducer(slow_topic, trace)
-        _, t_slow = _timed(lambda: slow.produce_until(horizon))
-
-        fast_topic = Topic("bench", 5)
-        fast = RateControlledProducer(fast_topic, trace, count_only=True)
-        _, t_fast = _timed(lambda: fast.produce_until(horizon))
-
-        slow_appends = sum(p.nonempty_appends for p in slow_topic.partitions)
-        fast_appends = sum(p.nonempty_appends for p in fast_topic.partitions)
-        # Totals track the same trace integral (one rounding per span
-        # instead of one per tick), and the fast path appends one span
-        # per 10 s hold instead of one per 1 s tick.
-        assert fast.total_produced == pytest.approx(
-            slow.total_produced, abs=horizon
-        )
-        assert fast_appends * 5 <= slow_appends
-
-        speedup = t_slow / t_fast if t_fast > 0 else float("inf")
-        bench_record(
-            horizonSeconds=horizon,
-            perTickSeconds=round(t_slow, 4),
-            countOnlySeconds=round(t_fast, 4),
-            speedup=round(speedup, 2),
-            perTickAppends=slow_appends,
-            countOnlyAppends=fast_appends,
-        )
-        emit(
-            f"datagen over {horizon:.0f}s sim: per-tick {t_slow:.3f}s "
-            f"({slow_appends} appends) vs count-only {t_fast:.3f}s "
-            f"({fast_appends} appends), {speedup:.1f}x"
-        )
-
     def test_fast_tier_speedup(self, bench_record):
-        """The vectorized tier's >= 50x contract against the exact DES.
+        """Calibrated host-time budgets for both tiers on one 600-batch run.
 
         Both tiers run the same fig7-style fixed configuration (LR at
         its paper rate band, 10 s x 10 executors) over the same number
         of batches.  The shared rate-trace segment memo is warmed by a
         throwaway fluid pass first so neither timed run pays the
-        one-time trace materialization.
+        one-time trace materialization.  Each tier's time is the best of
+        ``TIMED_REPEATS`` fresh runs, calibrated by the host-speed loop
+        of :mod:`perfbench.calibration` timed around each run (divided
+        by the loop time over ``NOMINAL_S``), so the budgets read as
+        times on the reference host.
+
+        * Vectorized: <= ``VECTORIZED_BUDGET_S``, the exact tier's 0.81 s
+          when the tiers were first gated divided by the 50x ratio that
+          gate asked for.  An absolute bound stays as strict as that
+          ratio however fast the exact tier gets.
+        * Exact: <= ``EXACT_BUDGET_S``, so a regression in datagen,
+          Kafka, job build or the scheduler fails here.  Span-level
+          production measured 0.145-0.174 s (six runs, shared 2-vCPU
+          host); per-tick production measured 0.246 s, over budget.
         """
+        from perfbench.calibration import NOMINAL_S, loop_seconds
+
         from repro.experiments.common import build_experiment
 
         batches = 600
@@ -254,11 +228,21 @@ class TestHotPaths:
         warm = build_experiment(WORKLOAD, seed=101, fidelity="fluid")
         warm.context.advance_batches(batches)
 
-        exact = build_experiment(WORKLOAD, seed=101, fidelity="exact")
-        _, t_exact = _timed(lambda: exact.context.advance_batches(batches))
+        def best_calibrated(fidelity):
+            best = None
+            for _ in range(TIMED_REPEATS):
+                setup = build_experiment(WORKLOAD, seed=101, fidelity=fidelity)
+                before = loop_seconds()
+                _, seconds = _timed(
+                    lambda: setup.context.advance_batches(batches)
+                )
+                slowness = (before + loop_seconds()) / (2.0 * NOMINAL_S)
+                if best is None or seconds / slowness < best[1]:
+                    best = (setup, seconds / slowness, seconds)
+            return best
 
-        fast = build_experiment(WORKLOAD, seed=101, fidelity="vectorized")
-        _, t_fast = _timed(lambda: fast.context.advance_batches(batches))
+        exact, c_exact, t_exact = best_calibrated("exact")
+        fast, c_fast, t_fast = best_calibrated("vectorized")
 
         # Near ρ=1 a handful of batches can still be queued when the
         # clock stops; both tiers must have completed nearly all.
@@ -269,21 +253,27 @@ class TestHotPaths:
         pf = fast.context.listener.metrics.mean_processing_time()
         assert abs(pe - pf) / pe < 0.10
 
-        speedup = t_exact / t_fast if t_fast > 0 else float("inf")
+        speedup = c_exact / c_fast if c_fast > 0 else float("inf")
         bench_record(
             batches=batches,
             exactSeconds=round(t_exact, 4),
             vectorizedSeconds=round(t_fast, 4),
+            exactCalibratedSeconds=round(c_exact, 4),
+            vectorizedCalibratedSeconds=round(c_fast, 5),
+            exactBudgetSeconds=EXACT_BUDGET_S,
+            vectorizedBudgetSeconds=VECTORIZED_BUDGET_S,
             speedup=round(speedup, 1),
             exactMeanProc=round(pe, 3),
             vectorizedMeanProc=round(pf, 3),
         )
         emit(
-            f"fast tier ({batches} batches): exact {t_exact:.3f}s vs "
-            f"vectorized {t_fast:.4f}s ({speedup:.0f}x), mean proc "
-            f"{pe:.2f}s vs {pf:.2f}s"
+            f"fast tier ({batches} batches, calibrated): exact "
+            f"{c_exact:.3f}s (budget {EXACT_BUDGET_S}s) vs vectorized "
+            f"{c_fast:.4f}s (budget {VECTORIZED_BUDGET_S}s), "
+            f"{speedup:.0f}x; mean proc {pe:.2f}s vs {pf:.2f}s"
         )
-        assert speedup >= 50.0
+        assert c_fast <= VECTORIZED_BUDGET_S
+        assert c_exact <= EXACT_BUDGET_S
 
     def test_fast_tier_scale_smoke(self, bench_record):
         """10k executors x 1000 partitions x 4 sim-hours in < 10 s wall."""

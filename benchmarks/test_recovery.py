@@ -16,9 +16,12 @@ from .conftest import emit, run_once
 WORKLOAD = "logistic_regression"
 SEED = 3
 PAUSE_N = 4
-KILL_TIME = 4000.0
+# LR seed 3 first pauses (pause_n=4) at round 25, t=7547 s, so the kill
+# at 7600 s lands post-convergence.  The cold restart then needs a fresh
+# convergence budget (18 rounds), hence 50 rounds in all.
+KILL_TIME = 7600.0
 OUTAGE = 60.0
-ROUNDS = 30
+ROUNDS = 50
 
 
 def test_checkpoint_recovery_beats_cold_restart(benchmark, bench_record):

@@ -479,14 +479,12 @@ def _cmd_sweep(args) -> int:
 
             kwargs = {"workload": args.workload} if args.workload else {}
             print(run_fig2(seed=args.seed, runner=runner,
-                           count_only=args.count_only,
                            fidelity=args.fidelity, **kwargs).to_table())
         elif name == "fig3":
             from repro.experiments.fig3_executors import run_fig3
 
             kwargs = {"workload": args.workload} if args.workload else {}
             print(run_fig3(seed=args.seed, runner=runner,
-                           count_only=args.count_only,
                            fidelity=args.fidelity, **kwargs).to_table())
         elif name == "fig5":
             from repro.experiments.fig5_rates import run_fig5
@@ -499,7 +497,7 @@ def _cmd_sweep(args) -> int:
             workloads = [args.workload] if args.workload else PAPER_WORKLOADS
             print(run_fig7(repeats=args.repeats, rounds=args.rounds,
                            base_seed=args.seed, workloads=workloads,
-                           runner=runner, count_only=args.count_only,
+                           runner=runner,
                            fidelity=args.fidelity).to_table())
         elif name == "fig8":
             from repro.experiments.fig6_evolution import PAPER_WORKLOADS
@@ -508,7 +506,7 @@ def _cmd_sweep(args) -> int:
             workloads = [args.workload] if args.workload else PAPER_WORKLOADS
             print(run_fig8(repeats=args.repeats, rounds=args.rounds,
                            base_seed=args.seed, workloads=workloads,
-                           runner=runner, count_only=args.count_only,
+                           runner=runner,
                            fidelity=args.fidelity).to_table())
         else:
             print(
@@ -914,10 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="cache root (default: $REPRO_SWEEP_CACHE or "
                         "~/.cache/repro/sweeps)")
-    p.add_argument("--count-only", action="store_true",
-                   help="segment-per-rate-span datagen fast path "
-                        "(deterministic, but not byte-identical to the "
-                        "default per-tick path)")
     p.add_argument("--json", default=None,
                    help="write sweep/cache accounting as JSON (always a "
                         "valid document, even when cells fail)")

@@ -15,7 +15,7 @@ implementable against a real cluster's REST API in a production port
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -234,19 +234,21 @@ def confirm_best(
     adjust: AdjustFunction,
     iteration: int,
     rho_cap: float = 2.0,
-    max_confirmations: int = 4,
+    max_confirmations: int = 16,
     skip_corrupted: bool = False,
 ) -> None:
-    """Re-measure singleton winners before trusting them (§5.3.5).
+    """Verify the winner over a long window before trusting it (§5.3.5).
 
     With dozens of noisy two-to-three-batch probe windows, the
     minimum-objective configuration is biased toward lucky measurements
-    (winner's curse).  Re-measuring the rule's current best until it has
-    at least two windows — demoting it if the average no longer wins —
-    makes a reported final configuration honest.  Every optimizer runs
-    this after its search loop.  ``skip_corrupted`` drops results whose
-    window a fault transient poisoned (the hardened controller), so they
-    neither confirm nor demote the incumbent.
+    (winner's curse), even at the stability frontier.  The rule's best is
+    re-measured over the collector's ``max_window`` batches and stays
+    feasible only if mean processing time plus one standard error leaves
+    the stability margin; otherwise the next best is verified, up to
+    ``max_confirmations`` measurements.  Every optimizer runs this after
+    its search loop.  ``skip_corrupted`` drops results whose window a
+    fault transient poisoned (the hardened controller), so they neither
+    confirm nor demote the incumbent.
     """
     if max_confirmations < 0:
         raise ValueError("max_confirmations must be >= 0")
@@ -254,10 +256,20 @@ def confirm_best(
         if not rule.evaluations:
             return
         best = rule.best_config()
-        if rule.measurement_count(best.theta) >= 2:
+        if not best.stable or best.verified is not None:
             return
         theta = np.asarray(best.theta, dtype=float)
+        previous = adjust.collector.set_window(adjust.collector.max_window)
         result = adjust(theta, rho_cap)
+        adjust.collector.set_window(previous)
         if skip_corrupted and result.corrupted:
             continue
-        rule.record(evaluate_config(result, theta, iteration, rho_cap=rho_cap))
+        m = result.measurement
+        upper = m.mean_processing_time + m.std_processing_time / np.sqrt(
+            m.batches_used
+        )
+        verdict = bool(
+            upper <= result.batch_interval * (1.0 - STABILITY_MARGIN)
+        )
+        evaluated = evaluate_config(result, theta, iteration, rho_cap=rho_cap)
+        rule.record(replace(evaluated, stable=verdict, verified=verdict))

@@ -152,6 +152,13 @@ class MetricsCollector:
         self._window = min(self._window + 1, self.max_window)
         return self._window
 
+    def set_window(self, window: int) -> int:
+        """Set the base window; returns the previous one."""
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        previous, self._window = self._window, window
+        return previous
+
     def reset_window(self) -> None:
         """Shrink back to the base window (on reset / instability)."""
         self._window = self.base_window

@@ -530,8 +530,8 @@ class NoStopController:
 
     # -- full runs -----------------------------------------------------------
 
-    def confirm_best(self, max_confirmations: int = 4) -> None:
-        """Re-measure singleton winners before trusting them.
+    def confirm_best(self, max_confirmations: int = 16) -> None:
+        """Verify the winner over a long window before trusting it.
 
         :func:`~repro.core.adjust.confirm_best` at the penalty cap, with
         fault-tainted windows skipped when the controller is hardened.

@@ -9,7 +9,7 @@ The rule keeps every evaluated (configuration, delay) pair, ranks them,
 and fires when the N best configurations' delays have converged to
 within S.
 
-Two reproduction-motivated details (documented in DESIGN.md):
+Three reproduction-motivated details (documented in DESIGN.md):
 
 * Ranking places configurations that *satisfied the stability
   constraint* (Eq. 2, ``interval >= processing time``) ahead of ones
@@ -20,6 +20,9 @@ Two reproduction-motivated details (documented in DESIGN.md):
   steady-state estimate (``interval/2 + processing time``): in a system
   carrying queue backlog from earlier probes, the raw measured delay
   reflects history, not the probed configuration.
+* A long-window verdict (:func:`repro.core.adjust.confirm_best`) alone
+  decides a configuration's feasibility: averaged in, the lucky probe
+  windows that made it the winner could outvote it.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class EvaluatedConfig:
     num_executors: int = 0
     mean_processing_time: float = 0.0
     stable: bool = True
+    verified: Optional[bool] = None
+    """Verdict of a long verification window (None: not a verification)."""
 
     @property
     def sort_key(self) -> Tuple[bool, float, Tuple[float, ...]]:
@@ -113,7 +118,8 @@ class PauseRule:
         repeated measurements of the same θ — from revisited probes,
         paused-state monitoring, or the end-of-run confirmation pass —
         are averaged, and stability is re-judged on the averaged
-        processing time.
+        processing time — unless a long verification window measured
+        the configuration, whose latest verdict then decides.
         """
         groups: Dict[Tuple[float, ...], List[EvaluatedConfig]] = {}
         for e in self._history:
@@ -129,6 +135,9 @@ class PauseRule:
                 stable = proc <= interval * (1.0 - STABILITY_MARGIN)
             else:  # hand-built records without config details
                 stable = sum(e.stable for e in evals) * 2 > len(evals)
+            verdicts = [e.verified for e in evals if e.verified is not None]
+            if verdicts:
+                stable = verdicts[-1]
             merged.append(
                 EvaluatedConfig(
                     theta=theta,
@@ -141,6 +150,7 @@ class PauseRule:
                     num_executors=evals[-1].num_executors,
                     mean_processing_time=proc,
                     stable=stable,
+                    verified=verdicts[-1] if verdicts else None,
                 )
             )
         return merged
@@ -191,6 +201,7 @@ class PauseRule:
                 "numExecutors": int(e.num_executors),
                 "meanProcessingTime": float(e.mean_processing_time),
                 "stable": bool(e.stable),
+                "verified": e.verified,
             }
             for e in self._history
         ]
@@ -207,6 +218,7 @@ class PauseRule:
                 num_executors=int(d["numExecutors"]),
                 mean_processing_time=float(d["meanProcessingTime"]),
                 stable=bool(d["stable"]),
+                verified=d.get("verified"),
             )
             for d in state
         ]

@@ -39,14 +39,8 @@ class DataGenerator:
     seed:
         Seed for payload synthesis.
     tick:
-        Producer tick in seconds.
-    count_only:
-        Enable the count-only fast path: arrivals are materialized one
-        segment per constant-rate span rather than one per tick.  Off by
-        default, the sweep runner's cells included (a cell's
-        ``count_only`` parameter or the CLI's ``--count-only`` opts in);
-        payload synthesis via :meth:`sample_payloads` keeps working
-        either way.
+        Shortest production span in seconds (see
+        :class:`repro.kafka.producer.RateControlledProducer`).
     """
 
     PAYLOAD_KINDS = ("labeled_points", "regression_points", "text", "nginx_logs")
@@ -59,7 +53,6 @@ class DataGenerator:
         seed: int = 0,
         tick: float = 1.0,
         rate_cap: Optional[float] = None,
-        count_only: bool = False,
     ) -> None:
         if payload_kind not in self.PAYLOAD_KINDS:
             raise ValueError(
@@ -67,7 +60,7 @@ class DataGenerator:
                 f"expected one of {self.PAYLOAD_KINDS}"
             )
         self.producer = RateControlledProducer(
-            topic, trace, tick=tick, rate_cap=rate_cap, count_only=count_only
+            topic, trace, tick=tick, rate_cap=rate_cap
         )
         self.payload_kind = payload_kind
         self._rng = np.random.default_rng(seed)

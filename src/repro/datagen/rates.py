@@ -104,11 +104,10 @@ class RateTrace(abc.ABC):
     def constant_until(self, t: float) -> float:
         """Latest time up to which the rate is known constant from ``t``.
 
-        Producers in count-only mode use this to materialize arrivals in
-        one segment per constant-rate span instead of one per tick.
-        Returning ``t`` (the conservative default for traces without a
-        closed form, e.g. :class:`SineRate`) disables the fast path and
-        falls back to tick-by-tick production.
+        The producer uses this to materialize arrivals in one segment per
+        constant-rate span.  Returning ``t`` (the conservative default for
+        traces without a closed form, e.g. :class:`SineRate`) makes it
+        advance one tick at a time.
         """
         return t
 

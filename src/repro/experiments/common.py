@@ -64,7 +64,6 @@ def build_experiment(
     queue_max_length: int = 25,
     cluster: Optional[Cluster] = None,
     telemetry: Optional[Telemetry] = None,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> ExperimentSetup:
     """Assemble the paper's deployment for one workload.
@@ -78,10 +77,6 @@ def build_experiment(
     of §1) instead of accumulating unbounded backlog — without a bound,
     a few unstable probes early in an optimization run would poison the
     rest of the experiment with queue drain.
-
-    ``count_only`` enables the data generator's segment-per-rate-span
-    fast path (see :class:`~repro.kafka.producer.RateControlledProducer`)
-    — the sweep runner turns it on for cost-model-driven cells.
 
     ``telemetry`` attaches a tracing/metrics/audit bundle to the whole
     stack.  When left ``None`` and ``REPRO_TRACE`` (or
@@ -118,7 +113,6 @@ def build_experiment(
         trace,
         payload_kind=workload.payload_kind,
         seed=seed,
-        count_only=count_only,
     )
     if fidelity == "exact":
         context = StreamingContext(

@@ -74,7 +74,6 @@ def fig2_spec(
     num_executors: int = 10,
     batches: int = 25,
     seed: int = 1,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> SweepSpec:
     """Declarative form of the Fig. 2 sweep (one cell per interval)."""
@@ -84,7 +83,6 @@ def fig2_spec(
         "batches": batches,
         "warmup": 4,
         "seed": seed,
-        "count_only": count_only,
     }
     if fidelity != "exact":
         # Non-default tiers only, so exact-tier cell digests are stable.
@@ -104,7 +102,6 @@ def run_fig2(
     batches: int = 25,
     seed: int = 1,
     runner: Optional[SweepRunner] = None,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> Fig2Result:
     """Run the Fig. 2 sweep; each point is a fresh deployment.
@@ -122,7 +119,6 @@ def run_fig2(
             num_executors=num_executors,
             batches=batches,
             seed=seed,
-            count_only=count_only,
             fidelity=fidelity,
         )
     )

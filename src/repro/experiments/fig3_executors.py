@@ -81,7 +81,6 @@ def fig3_spec(
     interval: float = 10.0,
     batches: int = 25,
     seed: int = 1,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> SweepSpec:
     """Declarative form of the Fig. 3 sweep (one cell per count)."""
@@ -91,7 +90,6 @@ def fig3_spec(
         "batches": batches,
         "warmup": 4,
         "seed": seed,
-        "count_only": count_only,
     }
     if fidelity != "exact":
         # Only non-default tiers enter the cell params, so exact-tier
@@ -115,7 +113,6 @@ def run_fig3(
     batches: int = 25,
     seed: int = 1,
     runner: Optional[SweepRunner] = None,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> Fig3Result:
     """Run the Fig. 3 sweep; each point is a fresh deployment.
@@ -131,7 +128,6 @@ def run_fig3(
             interval=interval,
             batches=batches,
             seed=seed,
-            count_only=count_only,
             fidelity=fidelity,
         )
     )

@@ -77,13 +77,12 @@ def fig7_optimize_spec(
     repeats: int = 5,
     rounds: int = 40,
     base_seed: int = 1,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> SweepSpec:
     """Stage 1: the per-repeat NoStop optimization runs."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    base = {"workload": workload, "rounds": rounds, "count_only": count_only}
+    base = {"workload": workload, "rounds": rounds}
     if fidelity != "exact":
         # Only non-default tiers enter the cell params, so exact-tier
         # cell digests (cache keys, journal identities) are unchanged.
@@ -100,7 +99,6 @@ def fig7_measure_spec(
     workload: str,
     reports: Sequence[dict],
     base_seed: int = 1,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> SweepSpec:
     """Stage 2: steady-state measurement of the stage-1 outcomes.
@@ -135,7 +133,6 @@ def fig7_measure_spec(
         "workload": workload,
         "batches": 40,
         "warmup": 5,
-        "count_only": count_only,
     }
     if fidelity != "exact":
         base["fidelity"] = fidelity
@@ -153,7 +150,6 @@ def run_fig7_one(
     rounds: int = 40,
     base_seed: int = 1,
     runner: Optional[SweepRunner] = None,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> WorkloadImprovement:
     """Fig. 7 measurement for one workload.
@@ -168,7 +164,6 @@ def run_fig7_one(
             repeats=repeats,
             rounds=rounds,
             base_seed=base_seed,
-            count_only=count_only,
             fidelity=fidelity,
         )
     )
@@ -177,7 +172,6 @@ def run_fig7_one(
             workload,
             optimize.results,
             base_seed=base_seed,
-            count_only=count_only,
             fidelity=fidelity,
         )
     )
@@ -205,7 +199,6 @@ def run_fig7(
     base_seed: int = 1,
     workloads=PAPER_WORKLOADS,
     runner: Optional[SweepRunner] = None,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> Fig7Result:
     """Full Fig. 7 over the four paper workloads."""
@@ -218,7 +211,6 @@ def run_fig7(
             rounds=rounds,
             base_seed=base_seed,
             runner=runner,
-            count_only=count_only,
             fidelity=fidelity,
         )
     return result

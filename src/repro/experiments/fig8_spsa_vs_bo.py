@@ -106,11 +106,10 @@ def fig8_spsa_spec(
     repeats: int = 5,
     rounds: int = 40,
     base_seed: int = 1,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> SweepSpec:
     """The NoStop side of the Fig. 8 comparison (one cell per repeat)."""
-    base = {"workload": workload, "rounds": rounds, "count_only": count_only}
+    base = {"workload": workload, "rounds": rounds}
     if fidelity != "exact":
         # Only non-default tiers enter the cell params, so exact-tier
         # cell digests (cache keys, journal identities) are unchanged.
@@ -128,14 +127,12 @@ def fig8_bo_spec(
     repeats: int = 5,
     bo_evaluations: int = 80,
     base_seed: int = 1,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> SweepSpec:
     """The Bayesian-optimization side of the Fig. 8 comparison."""
     base = {
         "workload": workload,
         "max_evaluations": bo_evaluations,
-        "count_only": count_only,
     }
     if fidelity != "exact":
         base["fidelity"] = fidelity
@@ -154,7 +151,6 @@ def run_fig8_one(
     bo_evaluations: int = 80,
     base_seed: int = 1,
     runner: Optional[SweepRunner] = None,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> WorkloadComparison:
     """SPSA-vs-BO repeats for one workload.
@@ -170,7 +166,6 @@ def run_fig8_one(
             repeats=repeats,
             rounds=rounds,
             base_seed=base_seed,
-            count_only=count_only,
             fidelity=fidelity,
         )
     )
@@ -180,7 +175,6 @@ def run_fig8_one(
             repeats=repeats,
             bo_evaluations=bo_evaluations,
             base_seed=base_seed,
-            count_only=count_only,
             fidelity=fidelity,
         )
     )
@@ -197,7 +191,6 @@ def run_fig8(
     base_seed: int = 1,
     workloads=PAPER_WORKLOADS,
     runner: Optional[SweepRunner] = None,
-    count_only: bool = False,
     fidelity: str = "exact",
 ) -> Fig8Result:
     """Full Fig. 8 over the four paper workloads."""
@@ -211,7 +204,6 @@ def run_fig8(
             bo_evaluations=bo_evaluations,
             base_seed=base_seed,
             runner=runner,
-            count_only=count_only,
             fidelity=fidelity,
         )
     return result

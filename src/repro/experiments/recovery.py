@@ -139,12 +139,12 @@ def driver_failure_schedule(
 def run_recovery_scenario(
     workload: str = "logistic_regression",
     mode: str = "cold",
-    rounds: int = 30,
+    rounds: int = 50,
     seed: int = 3,
-    kill_time: float = 4000.0,
+    kill_time: float = 7600.0,
     outage: float = 60.0,
     chaos_seed: int = 0,
-    pause_n: int = 10,
+    pause_n: int = 4,
 ) -> RecoveryResult:
     """One driver-failure run: optimize, die at ``kill_time``, recover.
 
@@ -155,6 +155,10 @@ def run_recovery_scenario(
     discarded — its in-memory state died with the driver.  In
     checkpoint mode every *completed* round checkpoints, mirroring a
     driver that fsyncs tuner state at round boundaries.
+
+    Defaults: LR seed 3 (``pause_n=4``) first pauses at t = 7547 s, so
+    the kill lands after convergence; 50 rounds leave the cold restart a
+    fresh convergence budget.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -257,11 +261,11 @@ def run_recovery_scenario(
 
 def run_recovery_comparison(
     workload: str = "logistic_regression",
-    rounds: int = 30,
+    rounds: int = 50,
     seed: int = 3,
-    kill_time: float = 4000.0,
+    kill_time: float = 7600.0,
     outage: float = 60.0,
-    pause_n: int = 10,
+    pause_n: int = 4,
 ) -> Dict[str, Any]:
     """Cold restart vs checkpointed restore on identical deployments.
 

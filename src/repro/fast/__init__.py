@@ -1,12 +1,12 @@
 """Fast-tier simulation core.
 
-The exact DES (:mod:`repro.streaming`) walks every record, tick, and
-task; that fidelity is the repository's ground truth, but it caps the
+The exact DES (:mod:`repro.streaming`) walks every record, rate span,
+and task; that fidelity is the repository's ground truth, but it caps the
 scale a sweep can touch.  This package provides two cheaper fidelity
 tiers that reproduce the *batch-level* observables the rest of the
 repository consumes — interval, scheduling delay, processing time,
 end-to-end delay — without ever materializing a record, a task, or a
-per-tick producer append:
+producer append:
 
 * ``vectorized`` — task durations for whole *blocks* of future batches
   are drawn as numpy arrays from the calibrated workload cost models,

@@ -41,11 +41,13 @@ class ConsumedBatch:
     """All offset ranges consumed at one batch boundary.
 
     Partition ``i`` contributed offsets ``[starts[i], ends[i])``.
+    ``lag`` is :meth:`DirectStreamConsumer.lag` right after the poll.
     """
 
     batch_time: float
     starts: Tuple[int, ...]
     ends: Tuple[int, ...]
+    lag: int
 
     @property
     def ranges(self) -> List[OffsetRange]:
@@ -113,7 +115,7 @@ class DirectStreamConsumer:
             # The lag() gauge, computed in the same pass.
             lag += p.end_offset - end
         self._committed = ends
-        batch = ConsumedBatch(batch_time, starts, tuple(ends))
+        batch = ConsumedBatch(batch_time, starts, tuple(ends), lag)
         consumed = sum(ends) - sum(starts)
         self.total_consumed += consumed
         self._m_polls.inc()

@@ -13,12 +13,14 @@ linear scans here would dominate whole-experiment cost.
 
 Appends *coalesce*: a segment that is exactly contiguous with the tail
 segment and carries exactly the same arrival rate extends it in place
-instead of growing the arrays.  A constant-rate producer ticking once a
-second therefore keeps the log at one segment per rate change rather
-than one per tick, which keeps :meth:`Partition.mean_arrival_time` (run
-per partition per batch) away from long segment scans.  Interpolation
-inside a merged segment is identical to the per-tick answer because the
-per-record spacing is unchanged.  :meth:`Partition.extend` is the one
+instead of growing the arrays.  A same-rate run of short spans (a trace
+with no closed-form constant regions, stepped one tick at a time, or
+batch boundaries splitting a constant-rate region) therefore keeps the
+log at one segment per rate change, which keeps
+:meth:`Partition.mean_arrival_time` (run per partition per batch) away
+from long segment scans.  Interpolation inside a merged segment is
+identical to the per-span answer because the per-record spacing is
+unchanged.  :meth:`Partition.extend` is the one
 implementation of the rule: it takes a run of spans in one pass, and a
 single :meth:`Partition.append` is its one-span case.
 """
@@ -119,7 +121,7 @@ class Partition:
 
         Same result as one :meth:`append` per span, in one pass.  The
         caller has validated the spans (:meth:`append` and
-        :meth:`repro.kafka.topic.Topic.append_ticks` do): counts are
+        :meth:`repro.kafka.topic.Topic.append_spans` do): counts are
         non-negative, no span ends before it starts or starts before an
         earlier one ends, ``lo`` is the least start and ``hi`` the
         greatest end.  Only the overlap with this log's tail is checked.
@@ -148,10 +150,10 @@ class Partition:
             if not count:
                 continue
             # Coalesce a contiguous same-rate extension.  Exact float
-            # equality on purpose: the per-tick producer reuses the
-            # previous tick's end as the next start, and cross-multiplied
-            # rates are equal without division error when the tick counts
-            # and durations repeat — any other append keeps its own
+            # equality on purpose: the producer reuses the previous
+            # span's end as the next start, and cross-multiplied rates
+            # are equal without division error when the span counts and
+            # durations repeat — any other append keeps its own
             # segment so interpolation never changes.
             if t0 == pt1 and count * (pt1 - pt0) == pcount * (t1 - t0):
                 pt1 = t1

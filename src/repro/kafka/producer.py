@@ -3,7 +3,9 @@
 The external data generator of §6.1 "sends data to Kafka Brokers at
 varying data rates" with a uniform spread over partitions.  The producer
 advances with simulation time: calling :meth:`produce_until` materializes
-all records implied by the rate trace since the last call.
+all records implied by the rate trace since the last call, one span per
+constant-rate region of the trace (the rate-process view of a producer:
+the paper's generator changes rate, it does not tick).
 
 A producer-side ``rate_cap`` models the paper's note that "the input data
 rate could also be restricted in the streaming data processing system to
@@ -24,7 +26,12 @@ from .topic import Topic
 
 
 class RateControlledProducer:
-    """Feed a topic from a rate trace, in fixed production ticks."""
+    """Feed a topic from a rate trace, one span per constant-rate region.
+
+    ``tick`` is the shortest span: a region shorter than a tick, and every
+    step of a trace with no closed-form constant spans (e.g.
+    :class:`repro.datagen.rates.SineRate`), is produced tick by tick.
+    """
 
     def __init__(
         self,
@@ -32,7 +39,6 @@ class RateControlledProducer:
         trace: RateTrace,
         tick: float = 1.0,
         rate_cap: Optional[float] = None,
-        count_only: bool = False,
     ) -> None:
         if tick <= 0:
             raise ValueError(f"tick must be positive, got {tick}")
@@ -42,15 +48,6 @@ class RateControlledProducer:
         self.trace = trace
         self.tick = float(tick)
         self.rate_cap = rate_cap
-        #: Count-only fast path: materialize one segment per constant-rate
-        #: span (via :meth:`RateTrace.constant_until`) instead of one per
-        #: tick.  Topic-wide totals follow the trace integral exactly; the
-        #: tick-level quantization of the default path is skipped, so the
-        #: two modes are each deterministic but not byte-identical to one
-        #: another.  Off by default, the sweep runner's cells included;
-        #: a cell's ``count_only`` parameter or the CLI's ``--count-only``
-        #: opts in for cost-model-driven runs.
-        self.count_only = bool(count_only)
         self.surge = 1.0
         self._produced_until = 0.0
         self.total_produced = 0
@@ -61,7 +58,7 @@ class RateControlledProducer:
         """Bind telemetry instruments (no-op registry by default).
 
         Both series carry a ``topic`` label, bound once here so the
-        per-tick production loop stays label-free.
+        production loop stays label-free.
         """
         self._m_produced = catalog.instrument(
             registry, "repro_kafka_records_produced_total"
@@ -95,9 +92,12 @@ class RateControlledProducer:
     def produce_until(self, t: float) -> int:
         """Materialize all arrivals in ``[produced_until, t)``.
 
-        The call's ticks are computed first, then handed to the topic in
-        one :meth:`Topic.append_ticks` call, which fills each partition
-        in a single pass.  Returns the number of records produced by this
+        Each span runs from its start to the end of the trace's
+        constant-rate region (:meth:`RateTrace.constant_until`), but never
+        shorter than a tick and never past ``t``.  The call's spans are
+        computed first, then handed to the topic in one
+        :meth:`Topic.append_spans` call, which fills each partition in a
+        single pass.  Returns the number of records produced by this
         call.  Throttled records (above ``rate_cap``) are counted in
         ``total_throttled`` and dropped, modeling an upstream queue we do
         not simulate — exactly the data-loss risk the paper warns
@@ -115,16 +115,10 @@ class RateControlledProducer:
         tick = self.tick
         surge = self.surge
         cap = self.rate_cap
-        count_only = self.count_only
         t0 = self._produced_until
         while t0 + 1e-12 < t:
-            if count_only:
-                # One production span per constant-rate region, but never
-                # shorter than a tick (sub-tick regions integrate across
-                # their boundary exactly as the default path does).
-                t1 = min(t, max(trace.constant_until(t0), t0 + tick))
-            else:
-                t1 = min(t0 + tick, t)
+            # A sub-tick region integrates across its boundary.
+            t1 = min(t, max(trace.constant_until(t0), t0 + tick))
             want = trace.records_between(t0, t1)
             if surge != 1.0:
                 want = int(round(want * surge))
@@ -138,7 +132,7 @@ class RateControlledProducer:
             t1s.append(t1)
             wants.append(want)
             t0 = t1
-        self.topic.append_ticks(t0s, t1s, wants)
+        self.topic.append_spans(t0s, t1s, wants)
         self._produced_until = t0
         produced = sum(wants)
         self.total_produced += produced

@@ -42,35 +42,35 @@ class Topic:
     def append_uniform(self, t0: float, t1: float, count: int) -> None:
         """Append ``count`` records spread evenly over partitions.
 
-        The one-tick case of :meth:`append_ticks`.
+        The one-span case of :meth:`append_spans`.
         """
-        self.append_ticks((t0,), (t1,), (count,))
+        self.append_spans((t0,), (t1,), (count,))
 
-    def append_ticks(
+    def append_spans(
         self,
         t0s: Sequence[float],
         t1s: Sequence[float],
         counts: Sequence[int],
     ) -> None:
-        """Append ticks: ``counts[k]`` records over ``[t0s[k], t1s[k])``.
+        """Append spans: ``counts[k]`` records over ``[t0s[k], t1s[k])``.
 
         Mirrors the paper's skew-free setup: "The data are sent to each
-        Kafka Broker uniformly to avoid data skew."  Each tick splits its
+        Kafka Broker uniformly to avoid data skew."  Each span splits its
         count evenly over partitions; the remainder after integer
         division rotates across partitions keyed by partition 0's
-        non-empty appends before the tick (coalescing-proof, and
+        non-empty appends before the span (coalescing-proof, and
         identical to the pre-coalescing segment count), so no partition
         is systematically favored.
 
-        Equivalent to appending tick by tick, but each partition is
-        filled in one pass over the ticks.
+        Equivalent to appending span by span, but each partition is
+        filled in one pass over the spans.
         """
         if not (len(t0s) == len(t1s) == len(counts)):
             raise ValueError("t0s, t1s and counts must have equal lengths")
         n = self.num_partitions
         last = -math.inf
         lo = math.inf
-        # One row of per-partition counts per tick; the remainder goes to
+        # One row of per-partition counts per span; the remainder goes to
         # the cyclic window of ``rem`` partitions starting at the
         # rotation key.
         rows: List[List[int]] = []
@@ -82,7 +82,7 @@ class Topic:
                 raise ValueError(f"segment end {t1} precedes start {t0}")
             if t0 < last - 1e-9:
                 raise ValueError(
-                    f"tick at t0={t0} overlaps an earlier tick ending at {last}"
+                    f"span at t0={t0} overlaps an earlier span ending at {last}"
                 )
             if t1 > last:
                 last = t1

@@ -155,7 +155,12 @@ class CusumDetector:
     the detector tracks settled regime changes it has already judged.
     Fires when either sum exceeds ``h``; on firing it resets and
     re-learns the post-shift level, so a second shift later in the run
-    is detected against the *new* regime.
+    is detected against the *new* regime.  It stays armed meanwhile:
+    the reference is the median of the post-firing samples, the scale
+    carries over until ``warmup`` of them re-fit it, and a sample's
+    z-score is taken against the nearer of that median and the level it
+    fired against, so neither noise of the new regime nor the end of a
+    burst fires again, while a second shift far from both does.
     """
 
     def __init__(
@@ -180,6 +185,9 @@ class CusumDetector:
         self.warmup = warmup
         self._recent: Deque[float] = deque(maxlen=window)
         self._armed = False
+        #: The reference the last firing was judged against, while the
+        #: post-firing level is re-learned (None otherwise).
+        self._anchor: Optional[float] = None
         self._mean = 0.0
         self._sigma = 0.0
         self._pos = 0.0
@@ -209,7 +217,14 @@ class CusumDetector:
                 self._refit()
                 self._armed = True
             return None
-        z = (value - self._mean) / self._sigma
+        if self._anchor is None:
+            z = (value - self._mean) / self._sigma
+        else:
+            self._recent.append(value)
+            self._mean = _median(list(self._recent))
+            z_new = (value - self._mean) / self._sigma
+            z_old = (value - self._anchor) / self._sigma
+            z = z_new if abs(z_new) <= abs(z_old) else z_old
         self._pos = max(0.0, self._pos + z - self.k)
         self._neg = max(0.0, self._neg - z - self.k)
         stat = max(self._pos, self._neg)
@@ -227,12 +242,16 @@ class CusumDetector:
                 ),
             )
             self.events.append(event)
-            # Re-baseline on the post-shift regime.
+            # Re-learn the post-shift regime from the next sample on.
+            self._anchor = self._mean
             self._recent.clear()
-            self._armed = False
             self._pos = self._neg = 0.0
             return event
-        if self._pos == 0.0 and self._neg == 0.0:
+        if self._anchor is not None:
+            if len(self._recent) >= self.warmup:
+                self._refit()
+                self._anchor = None
+        elif self._pos == 0.0 and self._neg == 0.0:
             # Quiescent: no accumulated evidence of drift — fold the
             # sample into the reference window and re-center, so the
             # frozen level tracks slow, already-judged regime changes.

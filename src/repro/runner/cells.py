@@ -82,7 +82,6 @@ def _fixed_config_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     batches = int(_pop(params, "batches", 40))
     warmup = int(_pop(params, "warmup", 5))
     max_executors = int(_pop(params, "max_executors", 20))
-    count_only = bool(_pop(params, "count_only", False))
     fidelity = str(_pop(params, "fidelity", "exact"))
     if params:
         raise TypeError(f"fixed_config: unknown params {sorted(params)}")
@@ -93,7 +92,6 @@ def _fixed_config_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         batch_interval=interval,
         num_executors=executors,
         max_executors=max_executors,
-        count_only=count_only,
         fidelity=fidelity,
     )
     run = run_fixed_configuration(setup.context, batches=batches, warmup=warmup)
@@ -146,14 +144,11 @@ def _nostop_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     gains_spec = params.pop("gains", None)
     collector_window = params.pop("collector_window", None)
     collector_max_window = params.pop("collector_max_window", None)
-    count_only = bool(_pop(params, "count_only", False))
     fidelity = str(_pop(params, "fidelity", "exact"))
     if params:
         raise TypeError(f"nostop: unknown params {sorted(params)}")
 
-    setup = build_experiment(
-        workload, seed=seed, count_only=count_only, fidelity=fidelity
-    )
+    setup = build_experiment(workload, seed=seed, fidelity=fidelity)
     gains = _resolve_gains(gains_spec, setup.scaler, rounds)
     controller = make_controller(setup, seed=seed, gains=gains)
     if collector_window is not None:
@@ -220,14 +215,11 @@ def _bo_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     workload = params.pop("workload")
     seed = int(params.pop("seed"))
     max_evaluations = int(_pop(params, "max_evaluations", 80))
-    count_only = bool(_pop(params, "count_only", False))
     fidelity = str(_pop(params, "fidelity", "exact"))
     if params:
         raise TypeError(f"bo: unknown params {sorted(params)}")
 
-    setup = build_experiment(
-        workload, seed=seed, count_only=count_only, fidelity=fidelity
-    )
+    setup = build_experiment(workload, seed=seed, fidelity=fidelity)
     rule = PauseRule()
     collector = MetricsCollector()
     start_time = setup.system.time

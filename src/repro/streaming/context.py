@@ -255,7 +255,7 @@ class StreamingContext:
             ingest = tracer.start_span("ingest", root, self.time)
             kafka_span = tracer.start_span(
                 "ingest.kafka", ingest, self.time,
-                records=received.records, backlog=self.receiver.backlog,
+                records=received.records, backlog=received.backlog,
             )
             kafka_span.finish(boundary)
             blocks = tracer.start_span(

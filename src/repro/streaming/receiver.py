@@ -20,11 +20,15 @@ from repro.obs.tracer import NOOP_TELEMETRY, Telemetry
 
 @dataclass(frozen=True)
 class ReceivedBatch:
-    """What the receiver hands the batch queue at a boundary."""
+    """What the receiver hands the batch queue at a boundary.
+
+    ``backlog`` is :attr:`Receiver.backlog` right after the batch closed.
+    """
 
     batch_time: float
     records: int
     mean_arrival_time: float
+    backlog: int
 
 
 class Receiver:
@@ -104,7 +108,10 @@ class Receiver:
             self.stall_windows += 1
             self._m_stalls.inc()
             return ReceivedBatch(
-                batch_time=batch_time, records=0, mean_arrival_time=batch_time
+                batch_time=batch_time,
+                records=0,
+                mean_arrival_time=batch_time,
+                backlog=self.consumer.lag(),
             )
         batch = self.consumer.poll(batch_time)
         mean_arrival = self.consumer.mean_arrival_time(batch)
@@ -113,4 +120,5 @@ class Receiver:
             batch_time=batch_time,
             records=batch.total_records,
             mean_arrival_time=mean_arrival,
+            backlog=batch.lag,
         )

@@ -23,9 +23,12 @@ from repro.experiments.recovery import (
 WORKLOAD = "logistic_regression"
 SEED = 3
 PAUSE_N = 4
-KILL_TIME = 4000.0
+# LR seed 3 first pauses (pause_n=4) at round 25, t=7547 s, so the kill
+# at 7600 s lands post-convergence.  The cold restart then needs a fresh
+# convergence budget (18 rounds), hence 50 rounds in all.
+KILL_TIME = 7600.0
 OUTAGE = 60.0
-ROUNDS = 30
+ROUNDS = 50
 
 
 def test_driver_host_validates_mode():
@@ -120,14 +123,20 @@ def test_checkpoint_reconverges_faster_than_cold_restart(comparison):
 
 
 def test_recovery_scenario_deterministic():
+    # 28 rounds run past the kill (round 25 ends at t=7547 s) and the
+    # checkpoint restore, so determinism covers the recovery path.
     a = run_recovery_scenario(
-        WORKLOAD, mode="checkpoint", rounds=12, seed=SEED,
+        WORKLOAD, mode="checkpoint", rounds=28, seed=SEED,
         kill_time=KILL_TIME, outage=OUTAGE, pause_n=PAUSE_N,
     )
     b = run_recovery_scenario(
-        WORKLOAD, mode="checkpoint", rounds=12, seed=SEED,
+        WORKLOAD, mode="checkpoint", rounds=28, seed=SEED,
         kill_time=KILL_TIME, outage=OUTAGE, pause_n=PAUSE_N,
     )
+    [killed_at] = a.killed_at
+    assert killed_at >= KILL_TIME
+    restores = [f for f in a.controller.audit.firings if f.kind == "restore"]
+    assert len(restores) == 1
     assert a.to_dict() == b.to_dict()
     thetas_a = [np.asarray(r.theta_scaled).tolist() for r in a.records]
     thetas_b = [np.asarray(r.theta_scaled).tolist() for r in b.records]

@@ -5,11 +5,14 @@ import pytest
 
 from repro.core.adjust import (
     AdjustFunction,
+    AdjustResult,
+    confirm_best,
     evaluate_config,
     theta_to_configuration,
 )
 from repro.core.bounds import paper_configuration_space
-from repro.core.metrics_collector import MetricsCollector
+from repro.core.metrics_collector import Measurement, MetricsCollector
+from repro.core.pause import PauseRule
 from repro.core.system import SimulatedSparkSystem
 
 from ..conftest import make_context
@@ -73,6 +76,92 @@ class TestAdjustFunction:
         adjust = AdjustFunction(system, scaler, collector)
         adjust([8.0, 14.0], rho=1.0)
         assert collector.pending == 0  # window cleanly consumed
+
+    def test_set_window_sizes_the_next_measurements(self, system, scaler):
+        collector = MetricsCollector(window=2, max_window=12)
+        adjust = AdjustFunction(system, scaler, collector)
+        assert collector.set_window(6) == 2
+        assert adjust([8.0, 14.0], rho=1.0).measurement.batches_used == 6
+        collector.set_window(2)
+        assert adjust([8.0, 14.0], rho=1.0).measurement.batches_used == 2
+
+
+class _ScriptedAdjust:
+    """Adjust stand-in: per θ, a fixed interval and a processing time
+    for short probe windows and for long verification windows."""
+
+    def __init__(self, configs):
+        self.configs = configs
+        self.collector = MetricsCollector(window=3, max_window=12)
+        self.windows = []
+
+    def __call__(self, theta, rho):
+        interval, short_proc, long_proc = self.configs[tuple(theta)]
+        batches = self.collector.window
+        self.windows.append((tuple(theta), batches))
+        proc = long_proc if batches == self.collector.max_window else short_proc
+        return AdjustResult(
+            objective=interval + rho * max(0.0, proc - interval),
+            batch_interval=interval,
+            num_executors=10,
+            measurement=Measurement(
+                mean_processing_time=proc,
+                mean_end_to_end_delay=interval / 2 + proc,
+                mean_scheduling_delay=0.0,
+                mean_records=100.0,
+                batches_used=batches,
+                skipped=0,
+                std_processing_time=0.5,
+            ),
+            rho=rho,
+        )
+
+
+class TestConfirmBest:
+    # θ (1, 1) won on a lucky probe (proc 6.0 at interval 8) but sits at
+    # the stability frontier (proc 7.8 over a long window); θ (2, 2) is
+    # slower to report (interval 10) and really stable.
+    CONFIGS = {(1.0, 1.0): (8.0, 6.0, 7.8), (2.0, 2.0): (10.0, 7.0, 7.0)}
+
+    def _rule(self, adjust):
+        rule = PauseRule()
+        for theta in self.CONFIGS:
+            result = adjust(np.array(theta), 2.0)
+            rule.record(evaluate_config(result, theta, iteration=1))
+        adjust.windows.clear()
+        return rule
+
+    def test_frontier_winner_is_demoted_by_its_long_window(self):
+        adjust = _ScriptedAdjust(self.CONFIGS)
+        rule = self._rule(adjust)
+        assert rule.best_config().theta == (1.0, 1.0)
+        confirm_best(rule, adjust, iteration=2)
+        # Both winners were verified over the collector's max_window.
+        assert adjust.windows == [((1.0, 1.0), 12), ((2.0, 2.0), 12)]
+        best = rule.best_config()
+        assert best.theta == (2.0, 2.0)
+        assert best.verified is True and best.stable
+        # Averaging the long window (7.8) with the lucky probe (6.0)
+        # would still read stable (6.9 <= 8 x 0.92); the verdict decides.
+        demoted = [e for e in rule.best(2) if e.theta == (1.0, 1.0)][0]
+        assert demoted.verified is False and not demoted.stable
+
+    def test_verified_winner_is_not_measured_again(self):
+        adjust = _ScriptedAdjust(self.CONFIGS)
+        rule = self._rule(adjust)
+        confirm_best(rule, adjust, iteration=2)
+        calls = len(adjust.windows)
+        confirm_best(rule, adjust, iteration=3)
+        assert len(adjust.windows) == calls
+
+    def test_budget_bounds_the_verifications(self):
+        adjust = _ScriptedAdjust(self.CONFIGS)
+        rule = self._rule(adjust)
+        confirm_best(rule, adjust, iteration=2, max_confirmations=1)
+        assert len(adjust.windows) == 1
+        # Out of budget: the next winner is reported unverified.
+        assert rule.best_config().theta == (2.0, 2.0)
+        assert rule.best_config().verified is None
 
 
 class TestEvaluateConfig:

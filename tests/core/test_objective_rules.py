@@ -204,6 +204,27 @@ class TestPauseRule:
         ))
         assert rule.best_config().theta == (5.0, 5.0)
 
+    def test_verification_verdict_survives_checkpoint(self):
+        rule = PauseRule()
+        theta = (1.0, 1.0)
+        rule.record(EvaluatedConfig(
+            theta=theta, objective=3.0, end_to_end_delay=4.0, iteration=1,
+            batch_interval=3.0, num_executors=8,
+            mean_processing_time=2.0, stable=True,
+        ))
+        rule.record(EvaluatedConfig(
+            theta=theta, objective=3.0, end_to_end_delay=4.4, iteration=2,
+            batch_interval=3.0, num_executors=8,
+            mean_processing_time=2.9, stable=False, verified=False,
+        ))
+        # The averaged proc (2.45) would pass the margin; the verdict
+        # of the long window ranks the configuration infeasible.
+        assert not rule.best_config().stable
+        restored = PauseRule()
+        restored.restore(rule.checkpoint())
+        assert restored.best_config().verified is False
+        assert not restored.best_config().stable
+
     def test_repeated_theta_does_not_pass_the_gate(self):
         # Regression: ten measurements of only two distinct configs used
         # to satisfy the raw-length gate, so the std was taken over two

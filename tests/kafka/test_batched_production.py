@@ -1,9 +1,10 @@
-"""Differential test: batched Kafka production against a per-tick oracle.
+"""Differential test: batched Kafka production against a per-span oracle.
 
-:meth:`RateControlledProducer.produce_until` hands all ticks of a call
-to :meth:`Topic.append_ticks`, which fills each partition in one pass.
-The oracle below is the tick-by-tick original: one ``append_uniform``
-per tick, one ``Partition.append`` per partition, each with its own
+:meth:`RateControlledProducer.produce_until` hands all spans of a call
+to :meth:`Topic.append_spans`, which fills each partition in one pass.
+The oracle below produces span by span: one span per constant-rate
+region of the trace (never shorter than a tick), one ``append_uniform``
+per span and one ``Partition.append`` per partition, each with its own
 overlap check and coalescing step.  Every segment, offset and float must
 come out the same, and so must the consumer's view of them.
 """
@@ -94,16 +95,17 @@ def reference_append_uniform(partitions, t0, t1, count):
         p.append(t0, t1, base + (1 if (i - start) % n < rem else 0))
 
 
-def reference_produce_until(state, partitions, trace, t, tick, surge, cap,
-                            count_only):
-    """The tick-by-tick production loop; ``state`` holds produced_until."""
+def reference_produce_until(state, partitions, trace, t, tick, surge, cap):
+    """The span-by-span production loop; ``state`` holds produced_until."""
     produced = 0
     while state["until"] + 1e-12 < t:
         t0 = state["until"]
-        if count_only:
-            t1 = min(t, max(trace.constant_until(t0), t0 + tick))
-        else:
-            t1 = min(t0 + tick, t)
+        end = trace.constant_until(t0)
+        t1 = min(t, max(end, t0 + tick))
+        # A span ends at the call's end, its constant-rate region's end,
+        # or one tick in when that region is shorter than a tick.
+        assert t1 in (t, end, t0 + tick)
+        assert t1 >= t0 + tick or t1 == t
         want = trace.records_between(t0, t1)
         if surge != 1.0:
             want = int(round(want * surge))
@@ -140,7 +142,6 @@ class TestBatchedProductionMatchesPerTick:
         tick=st.sampled_from([0.25, 0.7, 1.0, 2.0]),
         surge=st.sampled_from([1.0, 1.0, 0.35, 2.5]),
         cap=st.sampled_from([None, None, 40.0, 800.0]),
-        count_only=st.booleans(),
         boundaries=st.lists(
             st.floats(0.0, 6.0, allow_nan=False), min_size=1, max_size=12
         ),
@@ -148,13 +149,12 @@ class TestBatchedProductionMatchesPerTick:
     )
     @settings(max_examples=150, deadline=None)
     def test_segments_offsets_and_means_identical(
-        self, partitions, kind, rate, tick, surge, cap, count_only,
-        boundaries, seed,
+        self, partitions, kind, rate, tick, surge, cap, boundaries, seed,
     ):
         trace = make_trace(kind, rate, seed)
         topic = Topic("t", partitions)
         producer = RateControlledProducer(topic, trace, tick=tick,
-                                          rate_cap=cap, count_only=count_only)
+                                          rate_cap=cap)
         producer.set_surge(surge)
         consumer = DirectStreamConsumer(topic)
         ref = [ReferencePartition() for _ in range(partitions)]
@@ -166,7 +166,7 @@ class TestBatchedProductionMatchesPerTick:
             t += step
             produced = producer.produce_until(t)
             assert produced == reference_produce_until(
-                state, ref, trace, t, tick, surge, cap, count_only)
+                state, ref, trace, t, tick, surge, cap)
             assert producer.produced_until == state["until"]
 
             batch = consumer.poll(t)
@@ -201,7 +201,7 @@ class TestBatchedProductionMatchesPerTick:
                  (4.0, 5.0, 40)]
         for t0, t1, count in ticks:
             a.append_uniform(t0, t1, count)
-        b.append_ticks(*zip(*ticks))
+        b.append_spans(*zip(*ticks))
         for p, q in zip(a.partitions, b.partitions):
             assert p.segments == q.segments
             assert p.nonempty_appends == q.nonempty_appends

@@ -1,4 +1,4 @@
-"""Count-only datagen fast path: segment-per-rate-span production."""
+"""Span-level datagen: one Kafka segment per constant-rate span."""
 
 import pytest
 
@@ -52,53 +52,56 @@ class TestConstantUntil:
 
 
 class TestCountOnlyProduction:
+    """The producer's span-level production (its only mode)."""
+
     def test_constant_rate_totals_match_per_tick(self):
-        fast = RateControlledProducer(topic(), ConstantRate(100.0),
-                                      count_only=True)
-        slow = RateControlledProducer(topic(), ConstantRate(100.0))
-        assert fast.produce_until(120.0) == slow.produce_until(120.0) == 12000
+        trace = ConstantRate(100.0)
+        per_tick = sum(trace.records_between(k, k + 1.0) for k in range(120))
+        producer = RateControlledProducer(topic(), trace)
+        assert producer.produce_until(120.0) == per_tick == 12000
 
     def test_constant_rate_uses_constant_segments(self):
-        fast_topic = topic()
-        slow_topic = topic()
-        RateControlledProducer(fast_topic, ConstantRate(100.0),
-                               count_only=True).produce_until(120.0)
-        RateControlledProducer(slow_topic, ConstantRate(100.0)
-                               ).produce_until(120.0)
-        fast_segments = sum(p.segment_count for p in fast_topic.partitions)
-        slow_segments = sum(p.segment_count for p in slow_topic.partitions)
-        assert fast_segments == 5  # one span, one segment per partition
-        # Per-tick production also coalesces (constant rate), so the
-        # fast path's win here is fewer append calls, not fewer segments.
-        assert slow_segments == 5
+        t = topic()
+        RateControlledProducer(t, ConstantRate(100.0)).produce_until(120.0)
+        # One span: one append and one segment per partition.
+        assert sum(p.segment_count for p in t.partitions) == 5
+        assert sum(p.nonempty_appends for p in t.partitions) == 5
 
     def test_uniform_band_totals_close_to_per_tick(self):
         trace = UniformRandomRate(7_000, 13_000, hold=10.0, seed=3)
-        fast = RateControlledProducer(topic(), trace, count_only=True)
-        slow = RateControlledProducer(topic(), trace)
-        nf = fast.produce_until(300.0)
-        ns = slow.produce_until(300.0)
-        # One rounding per 10 s span vs one per 1 s tick: totals agree
-        # to within one record per tick.
-        assert nf == pytest.approx(ns, abs=300)
-        assert nf > 0.9 * 7_000 * 300 / 7  # sanity: same order of magnitude
+        t = topic()
+        producer = RateControlledProducer(t, trace)
+        produced = producer.produce_until(300.0)
+        # Totals follow the trace integral exactly: one rounding per
+        # 10 s hold span ...
+        spans = [(10.0 * k, 10.0 * (k + 1)) for k in range(30)]
+        assert produced == sum(trace.records_between(a, b) for a, b in spans)
+        assert t.total_records() == produced
+        # ... and the per-tick integral to within one record per tick.
+        per_tick = sum(trace.records_between(k, k + 1.0) for k in range(300))
+        assert produced == pytest.approx(per_tick, abs=300)
+        # One append per hold span and partition.
+        assert t.partitions[0].nonempty_appends == 30
 
     def test_count_only_is_deterministic(self):
         trace = UniformRandomRate(1_000, 2_000, hold=10.0, seed=9)
-        a = RateControlledProducer(topic(), trace, count_only=True)
-        b = RateControlledProducer(topic(), trace, count_only=True)
+        a_topic, b_topic = topic(), topic()
+        a = RateControlledProducer(a_topic, trace)
+        b = RateControlledProducer(b_topic, trace)
         assert a.produce_until(200.0) == b.produce_until(200.0)
+        for p, q in zip(a_topic.partitions, b_topic.partitions):
+            assert p.segments == q.segments
 
     def test_rate_cap_applies_per_span(self):
-        fast = RateControlledProducer(topic(), ConstantRate(100.0),
-                                      rate_cap=50.0, count_only=True)
-        produced = fast.produce_until(10.0)
+        producer = RateControlledProducer(topic(), ConstantRate(100.0),
+                                          rate_cap=50.0)
+        produced = producer.produce_until(10.0)
         assert produced == 500
-        assert fast.total_throttled == 500
+        assert producer.total_throttled == 500
 
     def test_incremental_produce_until_advances_spans(self):
         trace = StepRate.of((0.0, 10.0), (5.0, 20.0))
-        fast = RateControlledProducer(topic(), trace, count_only=True)
-        assert fast.produce_until(5.0) == 50
-        assert fast.produce_until(10.0) == 100
-        assert fast.produced_until == 10.0
+        producer = RateControlledProducer(topic(), trace)
+        assert producer.produce_until(5.0) == 50
+        assert producer.produce_until(10.0) == 100
+        assert producer.produced_until == 10.0

@@ -130,8 +130,9 @@ class TestLagGauge:
             t = 2.0 * (i + 1)
             p.produce_until(t + 1.3)
             if polled:
-                c.poll(t)
+                batch = c.poll(t)
                 lags.append(c.lag())
+                assert batch.lag == lags[-1]
                 assert self.gauge(registry, topic) == lags[-1]
         assert min(lags) > 0
 
@@ -144,6 +145,7 @@ class TestLagGauge:
         receiver.close_batch(4.0)
         receiver.close_batch(6.0)
         assert receiver.backlog == 388  # records piled up, none polled
+        assert receiver.close_batch(7.0).backlog == receiver.backlog == 485
         receiver.resume()
         receiver.close_batch(8.0)
         assert self.gauge(telemetry.metrics, topic) == receiver.consumer.lag()

@@ -85,6 +85,52 @@ class TestCusum:
         assert len(det.events) == 2
         assert det.events[1].value == pytest.approx(200.0, abs=1.5)
 
+    def test_shift_while_relearning_after_a_firing_fires(self):
+        # A second shift three samples after a firing lands where the
+        # detector used to be blind (re-warming for ``warmup`` samples):
+        # it must fire against the post-first-shift level, not be
+        # absorbed into the re-learned reference.
+        det = CusumDetector(k=0.5, h=4.0, warmup=8)
+        for i in range(20):
+            det.observe(float(i), 100.0 + (i % 2))
+        for i in range(20, 23):
+            det.observe(float(i), 150.0)
+        assert len(det.events) == 1
+        for i in range(23, 40):
+            det.observe(float(i), 60.0 + (i % 2))
+        assert len(det.events) == 2
+        assert det.events[1].time <= 25.0
+        assert "downward" in det.events[1].detail
+        assert "reference 150.0" in det.events[1].detail
+
+    def test_noisy_post_shift_samples_fire_once(self):
+        # The firing sample is one noisy draw of the new regime; the
+        # re-learned reference must follow the post-shift median, not
+        # stay pinned to that draw and fire again on the noise.
+        noise = (0.0, 6.0, -6.0, 3.0, -5.0, 7.0, -7.0, 2.0, -2.0, 5.0)
+        det = CusumDetector(k=0.5, h=4.0, warmup=8)
+        for i in range(20):
+            det.observe(float(i), 100.0 + (i % 2))
+        for i in range(20, 80):
+            det.observe(float(i), 150.0 + noise[(i + 1) % len(noise)])
+        assert len(det.events) == 1
+        assert "upward" in det.events[0].detail
+
+    @pytest.mark.parametrize("h", [4.0, 8.0])
+    def test_burst_then_return_fires_once(self, h):
+        # A catch-up burst (500) that returns to the settled level (100)
+        # is one excursion: the return must not fire as a downward shift
+        # off a reference the burst re-centered.
+        det = CusumDetector(k=0.5, h=h, warmup=8)
+        for i in range(30):
+            det.observe(float(i), 100.0 + (i % 2))
+        for i in range(30, 33):
+            det.observe(float(i), 500.0)
+        for i in range(33, 80):
+            det.observe(float(i), 100.0 + (i % 2))
+        assert len(det.events) == 1
+        assert "upward" in det.events[0].detail
+
     def test_transient_burst_does_not_poison_the_reference(self):
         # A fault-recovery burst (a handful of extreme samples) must not
         # blind the detector to a later genuine shift — the robust refit

@@ -272,3 +272,36 @@ class TestFaultJoinOrphans:
         assert list(result) == [result[0]]
         assert len(result) == 1
         assert "1 joins, 0 orphans" in repr(result)
+
+
+class TestIngestBacklog:
+    def test_kafka_span_backlog_is_consumer_lag_across_a_stall(self):
+        telemetry = Telemetry(enabled=True)
+        setup = build_experiment("wordcount", seed=1, telemetry=telemetry)
+        receiver = setup.context.receiver
+        lags = []
+        close_batch = receiver.close_batch
+
+        def recording_close_batch(batch_time):
+            received = close_batch(batch_time)
+            lags.append(receiver.consumer.lag())
+            return received
+
+        receiver.close_batch = recording_close_batch
+        schedule = FaultSchedule([
+            FaultEvent(name="broker", trigger=AtTime(45.0),
+                       injector=BrokerOutage(), duration=15.0),
+        ])
+        engine = ChaosEngine(setup.context, schedule, seed=3)
+        for _ in range(10):
+            setup.context.advance_one_batch()
+        engine.finish()
+
+        backlogs = [
+            s.attributes["backlog"] for s in telemetry.tracer.spans
+            if s.name == "ingest.kafka"
+        ]
+        assert receiver.stall_windows > 0
+        assert backlogs == lags
+        # Stalled windows leave the produced records behind as backlog.
+        assert max(backlogs) > 0

@@ -184,6 +184,15 @@ class TestJudgedChaosRun:
         batches_until_fire = sum(1 for t in post if t <= fired[0])
         assert batches_until_fire <= 3
 
+    def test_rate_shift_count_does_not_grow_with_the_re_arm(self, judged):
+        """The re-arm after a firing (no blind re-warm) must not turn
+        noise or the end of a burst into extra firings.  33 is what a
+        detector that re-warmed blind for ``warmup`` samples reports on
+        this run's batches too; the excess over the scripted shift is
+        the detector firing on the band's 10 s hold changes."""
+        fired = [e for e in judged.report.all_anomalies if e.kind == "rate_shift"]
+        assert len(fired) <= 33
+
     def test_cusum_agrees_with_the_restart_rule(self, judged):
         assert judged.report.rate_shift_agreement is True
         assert judged.report.resets >= 1

@@ -38,8 +38,7 @@ def _fig7_spec():
     from repro.experiments.fig7_improvement import fig7_optimize_spec
 
     return fig7_optimize_spec(
-        WORKLOAD, repeats=REPEATS, rounds=ROUNDS, base_seed=BASE_SEED,
-        count_only=True,
+        WORKLOAD, repeats=REPEATS, rounds=ROUNDS, base_seed=BASE_SEED
     )
 
 
@@ -48,8 +47,7 @@ from repro.runner import ResultCache, SweepJournal, SweepRunner
 from repro.experiments.fig7_improvement import fig7_optimize_spec
 
 spec = fig7_optimize_spec(
-    {workload!r}, repeats={repeats}, rounds={rounds}, base_seed={base_seed},
-    count_only=True,
+    {workload!r}, repeats={repeats}, rounds={rounds}, base_seed={base_seed}
 )
 cache = ResultCache({cache_dir!r}) if {cache_dir!r} else None
 SweepRunner(cache=cache, journal=SweepJournal({journal!r})).run(spec)

@@ -49,6 +49,14 @@ class TestReceiver:
         r.close_batch(5.0)
         assert r.backlog == 0
 
+    def test_received_backlog_is_consumer_lag(self):
+        r = make_receiver(rate=1000.0)
+        assert r.close_batch(5.0).backlog == r.consumer.lag() == 0
+        r.stall()
+        assert r.close_batch(10.0).backlog == r.consumer.lag() == 5000
+        r.resume()
+        assert r.close_batch(12.0).backlog == r.consumer.lag() == 0
+
     def test_boundaries_must_advance(self):
         r = make_receiver()
         r.close_batch(5.0)
